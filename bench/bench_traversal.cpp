@@ -5,7 +5,11 @@
 //      frontier policy {sparse, dense, auto} × hub splitting {off, on} on the
 //      stealing worklist, plus the --mem placement policies on the default
 //      engine config.
-//   2. Microbenchmarks for the two build-path fixes: edge_source (O(1)
+//   2. SSSP on a grid2d (--grid side, source 0): a high-diameter solve of
+//      ~2*side barriered iterations with sparse frontiers, so the
+//      per-iteration frontier hand-off dominates. Distances are checked
+//      against ref::sssp; a mismatch exits 1.
+//   3. Microbenchmarks for the two build-path fixes: edge_source (O(1)
 //      inverse array) vs edge_source_search (the old binary search), and
 //      Graph::build wall time at exact-size allocation.
 //
@@ -14,8 +18,8 @@
 // column values stable, they are the diff keys.
 //
 // Flags: --n=16384 --m=131072 (R-MAT size; n must be a power of two),
-//        --threads=4, --repeats=3, --eps=1e-3, --hub-threshold=64,
-//        --json=BENCH_traversal.json
+//        --grid=512 (grid side), --threads=4, --repeats=3, --eps=1e-3,
+//        --hub-threshold=64, --json=BENCH_traversal.json
 
 #include <cstdint>
 #include <iostream>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
+#include "algorithms/reference/references.hpp"
 #include "algorithms/sssp.hpp"
 #include "bench_common.hpp"
 #include "engine/nondeterministic.hpp"
@@ -107,6 +112,41 @@ void bench_engine_grid(const Graph& g, const char* algo,
   }
 }
 
+/// Returns false when the grid distances differ from the sequential oracle.
+bool bench_grid_sssp(VertexId side, const Knobs& k, TextTable& table) {
+  const Graph g = Graph::build(side * side, gen::grid2d(side, side));
+  constexpr VertexId kSource = 0;
+  constexpr std::uint64_t kWeightSeed = 42;
+  std::vector<float> weights(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    weights[e] = SsspProgram::edge_weight(kWeightSeed, e);
+  }
+  const std::vector<float> expected = ref::sssp(g, kSource, weights);
+
+  EngineOptions opts;
+  opts.num_threads = k.threads;
+  opts.mode = AtomicityMode::kRelaxed;
+  SsspProgram prog(kSource, kWeightSeed);
+  EdgeDataArray<SsspEdge> edges(g.num_edges());
+  EngineResult last;
+  bool exact = true;
+  const double secs = median_secs(
+      [&] {
+        prog.init(g, edges);
+        last = run_nondeterministic(g, prog, edges, opts);
+        exact = exact && prog.distances() == expected;
+        return last.seconds;
+      },
+      k.repeats);
+  table.add_row(
+      {"sssp-grid", "frontier-auto", std::to_string(opts.num_threads),
+       TextTable::num(secs * 1e3, 2),
+       TextTable::num(static_cast<double>(last.updates) / secs / 1e6, 2),
+       std::to_string(last.iterations), "0", "0",
+       last.converged && exact ? "yes" : "no"});
+  return exact;
+}
+
 void bench_edge_source(const Graph& g, int repeats, TextTable& table) {
   const EdgeId m = g.num_edges();
   std::uint64_t sink = 0;
@@ -161,6 +201,7 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<VertexId>(args.get_int("n", 16384));
   const auto m = static_cast<EdgeId>(args.get_int("m", 131072));
+  const auto grid = static_cast<VertexId>(args.get_int("grid", 512));
   Knobs k;
   k.threads = static_cast<std::size_t>(args.get_int("threads", 4));
   k.repeats = static_cast<int>(args.get_int("repeats", 3));
@@ -171,7 +212,8 @@ int main(int argc, char** argv) {
   std::cout << "=== Traversal & memory-locality bench (perf layer) ===\n"
             << "(rmat n=" << n << " m=" << m << " unpermuted, threads="
             << k.threads << ", repeats=" << k.repeats
-            << ", hub-threshold=" << k.hub_threshold << ")\n\n";
+            << ", hub-threshold=" << k.hub_threshold << "; grid " << grid
+            << "x" << grid << ")\n\n";
 
   gen::RmatOptions rmat_opts;
   rmat_opts.permute = false;  // keep id<->degree correlation: locality shows
@@ -188,6 +230,7 @@ int main(int argc, char** argv) {
                     table);
   bench_engine_grid(g, "sssp", [src] { return SsspProgram(src, 42); }, k,
                     table);
+  const bool grid_exact = bench_grid_sssp(grid, k, table);
   bench_edge_source(g, k.repeats, table);
   bench_build(n, el_copy, k.repeats, table);
 
@@ -196,7 +239,7 @@ int main(int argc, char** argv) {
   const std::string json_path = args.get("json", "BENCH_traversal.json");
   const std::string cfg =
       "{\"experiment\":\"traversal\",\"n\":" + std::to_string(n) +
-      ",\"m\":" + std::to_string(m) +
+      ",\"m\":" + std::to_string(m) + ",\"grid\":" + std::to_string(grid) +
       ",\"threads\":" + std::to_string(k.threads) +
       ",\"repeats\":" + std::to_string(k.repeats) +
       ",\"hub_threshold\":" + std::to_string(k.hub_threshold) + "}";
@@ -206,5 +249,9 @@ int main(int argc, char** argv) {
   std::cout << "\nshape targets: dense/auto frontier >= sparse on PageRank "
                "(full frontiers); sparse >= dense on SSSP tails; "
                "inverse-array edge_source >> binary-search.\n";
+  if (!grid_exact) {
+    std::cerr << "FAIL: sssp-grid distances differ from ref::sssp\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "engine/frontier.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 
@@ -9,6 +10,7 @@ namespace ndg {
 Frontier::Frontier(VertexId num_vertices, FrontierPolicy policy,
                    std::size_t dense_divisor)
     : next_(num_vertices),
+      touched_(next_.num_words()),
       policy_(policy),
       dense_divisor_(dense_divisor == 0 ? 1 : dense_divisor) {
   if (policy_ != FrontierPolicy::kSparse) bits_ = DenseBitset(num_vertices);
@@ -44,21 +46,35 @@ void Frontier::seed(std::vector<VertexId> vertices) {
 }
 
 void Frontier::advance() {
-  size_ = next_.count();
-  dense_ = want_dense(size_);
-  if (dense_) {
-    // Snapshot the atomic words into the plain bitmap so the sweep reads
-    // non-atomic memory; next_ is then recycled for S_{n+2}.
-    next_.snapshot_into(bits_);
-    current_.clear();
-  } else {
-    current_.clear();
-    // AtomicBitset iterates set bits in ascending order, which gives the
-    // small-label-first ordering for free.
-    next_.for_each(
-        [this](std::size_t v) { current_.push_back(static_cast<VertexId>(v)); });
+  // One pass over the touched words, ascending: take each word (zeroing it
+  // and its summary bit, so next_ is empty again for S_{n+2}) and count.
+  taken_.clear();
+  size_ = 0;
+  for (std::size_t s = 0; s < touched_.num_words(); ++s) {
+    for (std::uint64_t summary = touched_.take_word(s); summary != 0;
+         summary &= summary - 1) {
+      const std::size_t w =
+          s * 64 + static_cast<std::size_t>(__builtin_ctzll(summary));
+      const std::uint64_t bits = next_.take_word(w);
+      size_ += static_cast<std::size_t>(std::popcount(bits));
+      taken_.emplace_back(w, bits);
+    }
   }
-  next_.clear();
+  dense_ = want_dense(size_);
+  current_.clear();
+  if (dense_) {
+    bits_.clear();
+    for (const auto& [w, bits] : taken_) bits_.set_word(w, bits);
+  } else {
+    // Words ascend and bits within a word ascend, which gives the
+    // small-label-first ordering for free.
+    for (auto [w, bits] : taken_) {
+      for (; bits != 0; bits &= bits - 1) {
+        current_.push_back(
+            static_cast<VertexId>(w * 64 + __builtin_ctzll(bits)));
+      }
+    }
+  }
 }
 
 void Frontier::collect_range(VertexId lo, VertexId hi,

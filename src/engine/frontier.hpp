@@ -18,7 +18,14 @@
 // bitmap wins once |S_n| * dense_divisor > V (a bitmap sweep touches V/64
 // words regardless of |S_n|, a list touches |S_n| entries; the crossover is a
 // constant factor captured by the divisor).
+//
+// S_{n+1} is collected in a two-level schedule bitmap: next_ holds one bit per
+// vertex and touched_ one bit per word of next_, set by whichever schedule()
+// call activated that word first. advance() walks only the touched words, so
+// the hand-off costs O(V/4096 + touched words + |S_{n+1}|), not O(V/64).
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "engine/frontier_policy.hpp"
@@ -37,11 +44,16 @@ class Frontier {
   /// Duplicates are tolerated; the list is sorted and deduplicated.
   void seed(std::vector<VertexId> vertices);
 
-  /// Adds v to the next iteration's set. Thread-safe; idempotent.
-  void schedule(VertexId v) { next_.set(v); }
+  /// Adds v to the next iteration's set. Thread-safe; idempotent. Bits are
+  /// only ever set before the barrier, so a plain load that finds v's bit
+  /// already set skips the RMW; only the first activation of v's word pays
+  /// a second RMW, on the summary bit.
+  void schedule(VertexId v) {
+    if (!next_.test(v) && next_.fetch_set(v) == 0) touched_.set(v >> 6);
+  }
 
-  /// Swaps next into current (single-threaded; call between barriers),
-  /// choosing the representation for the new S_n.
+  /// Moves S_{n+1} into S_n and empties the schedule bitmap (single-threaded;
+  /// call between barriers), choosing the representation for the new S_n.
   void advance();
 
   /// The vertices chosen for this iteration (S_n), ascending by label.
@@ -96,9 +108,12 @@ class Frontier {
   /// True when a set of `count` vertices should use the bitmap.
   [[nodiscard]] bool want_dense(std::size_t count) const;
 
-  AtomicBitset next_;
+  AtomicBitset next_;     // S_{n+1}, one bit per vertex
+  AtomicBitset touched_;  // one bit per word of next_ that holds a set bit
+  // advance()'s working list: the (word index, bits) pairs taken from next_.
+  std::vector<std::pair<std::size_t, std::uint64_t>> taken_;
   std::vector<VertexId> current_;  // sparse representation
-  DenseBitset bits_;               // dense representation (snapshot of next_)
+  DenseBitset bits_;               // dense representation (copy of next_)
   std::size_t size_ = 0;
   bool dense_ = false;
   FrontierPolicy policy_ = FrontierPolicy::kSparse;

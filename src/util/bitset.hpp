@@ -46,6 +46,13 @@ class DenseBitset {
 
   [[nodiscard]] std::size_t num_words() const { return words_.size(); }
 
+  /// Overwrites word w (bits w*64 .. w*64+63) — how the frontier copies the
+  /// touched words of its schedule bitmap into the dense representation.
+  void set_word(std::size_t w, std::uint64_t bits) {
+    NDG_ASSERT(w < words_.size());
+    words_[w] = bits;
+  }
+
   /// Calls fn(i) for every set bit, ascending.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -98,8 +105,6 @@ class DenseBitset {
   }
 
  private:
-  friend class AtomicBitset;  // snapshot_into writes words_ directly
-
   std::size_t num_bits_ = 0;
   std::vector<std::uint64_t> words_;
 };
@@ -131,6 +136,15 @@ class AtomicBitset {
     return (prev & mask) == 0;
   }
 
+  /// Sets bit i and returns its word's previous value. Exactly one concurrent
+  /// setter sees 0: the word's first activation. Costs a CAS loop on x86,
+  /// where set() compiles to a single locked bit-test-and-set.
+  std::uint64_t fetch_set(std::size_t i) {
+    NDG_ASSERT(i < num_bits_);
+    return words_[i >> 6].fetch_or(1ULL << (i & 63),
+                                   std::memory_order_acq_rel);
+  }
+
   /// Clears bit i; returns true if this call changed it from 1 to 0 (i.e.
   /// the caller won the claim). Acq_rel: the acquire half pairs with set()'s
   /// release (claim sees the scheduler's writes), the release half publishes
@@ -157,34 +171,14 @@ class AtomicBitset {
 
   [[nodiscard]] std::size_t num_words() const { return words_.size(); }
 
-  /// Relaxed word read — only meaningful between iterations, after a barrier
-  /// has ordered all set() calls before the reader.
-  [[nodiscard]] std::uint64_t word_relaxed(std::size_t w) const {
+  /// Returns word w and zeroes it. Single-threaded, between iterations:
+  /// a barrier has ordered every set() before the caller, so plain relaxed
+  /// accesses suffice (no RMW).
+  std::uint64_t take_word(std::size_t w) {
     NDG_ASSERT(w < words_.size());
-    return words_[w].load(std::memory_order_relaxed);
-  }
-
-  /// Copies the current bits into a same-sized DenseBitset. Single-threaded,
-  /// post-barrier: this is how the hybrid frontier materializes its dense
-  /// representation without touching atomics during the sweep.
-  void snapshot_into(DenseBitset& out) const {
-    NDG_ASSERT(out.num_bits_ == num_bits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      out.words_[w] = words_[w].load(std::memory_order_relaxed);
-    }
-  }
-
-  /// Single-threaded traversal (called between iterations, after the barrier).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w].load(std::memory_order_relaxed);
-      while (word) {
-        const int bit = __builtin_ctzll(word);
-        fn(w * 64 + static_cast<std::size_t>(bit));
-        word &= word - 1;
-      }
-    }
+    const std::uint64_t bits = words_[w].load(std::memory_order_relaxed);
+    if (bits != 0) words_[w].store(0, std::memory_order_relaxed);
+    return bits;
   }
 
  private:

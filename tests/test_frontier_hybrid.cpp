@@ -2,8 +2,9 @@
 // invisible to everything but the clock. Covers the sparse<->dense switch
 // points, the ascending-label guarantee in both representations, the
 // seed/advance/empty invariants, interval queries for the out-of-core
-// engine, and an engine matrix asserting identical converged results across
-// every FrontierPolicy.
+// engine, concurrent schedule() into the two-level schedule bitmap, and an
+// engine matrix asserting identical converged results across every
+// FrontierPolicy.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,8 @@
 #include "engine/nondeterministic.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
+#include "util/rng.hpp"
+#include "util/thread_team.hpp"
 
 namespace ndg {
 namespace {
@@ -140,6 +143,75 @@ TEST(FrontierHybrid, CollectRangeMatchesBothRepresentations) {
       }
       EXPECT_EQ(got, want) << to_string(policy) << " [" << lo << "," << hi
                            << ")";
+    }
+  }
+}
+
+// Four threads schedule random, overlapping sets into S_{n+1} (each thread
+// also replays its neighbour's list, so the same bits and summary bits race),
+// over consecutive advance() calls. Sizes straddle partial words (V = 1, 63,
+// 4097) and partial summary words (V = 4097, 262145: 65 and 4097 words). The
+// round after the full set is an empty advance: a stale word or summary bit
+// left by the dense hand-off would show up there or in the round after it.
+TEST(FrontierHybrid, ConcurrentScheduleYieldsSortedUnion) {
+  constexpr std::size_t kThreads = 4;
+  // Per-thread draws per round, as a fraction of V; -1 schedules every vertex.
+  constexpr double kRounds[] = {0.5, 0.001, -1, 0, 0.001, 0.3, 0.01};
+  for (const VertexId n : {1u, 63u, 64u, 4097u, 262145u}) {
+    for (const FrontierPolicy policy :
+         {FrontierPolicy::kSparse, FrontierPolicy::kDense,
+          FrontierPolicy::kAuto}) {
+      Frontier f(n, policy);
+      Xoshiro256 rng(n * 3 + static_cast<std::uint64_t>(policy));
+      for (std::size_t round = 0; round < std::size(kRounds); ++round) {
+        const std::string label = std::string(to_string(policy)) + " V=" +
+                                  std::to_string(n) + " round " +
+                                  std::to_string(round);
+        const double frac = kRounds[round];
+        const std::size_t k =
+            frac > 0 ? static_cast<std::size_t>(frac * n) + 1 : 0;
+        std::vector<std::vector<VertexId>> draws(kThreads);
+        std::vector<VertexId> want;
+        for (auto& list : draws) {
+          if (frac < 0) {
+            for (VertexId v = n; v-- > 0;) list.push_back(v);
+          }
+          for (std::size_t i = 0; i < k; ++i) {
+            list.push_back(static_cast<VertexId>(rng.next() % n));
+          }
+          want.insert(want.end(), list.begin(), list.end());
+        }
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+
+        run_team(kThreads, [&](std::size_t tid) {
+          for (const VertexId v : draws[tid]) f.schedule(v);
+          for (const VertexId v : draws[(tid + 1) % kThreads]) f.schedule(v);
+        });
+        f.advance();
+
+        ASSERT_EQ(f.size(), want.size()) << label;
+        ASSERT_EQ(f.empty(), want.empty()) << label;
+        const bool dense =
+            policy == FrontierPolicy::kDense  ? !want.empty()
+            : policy == FrontierPolicy::kAuto ? want.size() * 8 > n
+                                              : false;
+        ASSERT_EQ(f.dense(), dense) << label;
+        if (f.dense()) {
+          std::vector<VertexId> got;
+          const std::size_t mid = f.num_words() / 2;
+          for (const auto& [wb, we] : {std::pair{std::size_t{0}, mid},
+                                       std::pair{mid, f.num_words()}}) {
+            f.for_each_in_words(wb, we, [&](std::size_t v) {
+              got.push_back(static_cast<VertexId>(v));
+            });
+          }
+          ASSERT_EQ(got, want) << label;
+        } else {
+          ASSERT_EQ(f.current(), want) << label;
+        }
+        ASSERT_EQ(drain(f), want) << label;
+      }
     }
   }
 }
