@@ -7,29 +7,34 @@
 // algorithms in parallel and guarantees the result equals the sequential
 // greedy-by-id execution at any thread count.
 //
+// One persistent team of P threads runs every round (the paper's Section II
+// system model: the same threads for all N iterations, a SpinBarrier between
+// phases), each thread working out of its own cache-line-aligned SpecLane.
 // Each round:
-//   1. plan   — threads optimistically execute the current worklist prefix in
+//   1. plan   — threads optimistically execute the current worklist in
 //               deterministic id order (static contiguous blocks over the
-//               sparse frontier's ascending list), recording each update's
-//               read/write *neighborhood footprint* (the vertices whose state
-//               or incident edges it touched) and its decision into
-//               arena-backed LocalState. No shared state is written.
-//   2. resolve — a sequential ascending sweep over the planned items with a
-//               per-vertex dirty stamp: an item aborts iff any footprint
-//               vertex was dirtied by a smaller item this round; a committed
-//               writer dirties its declared write vertices; an *aborted* item
-//               dirties its full static neighborhood, because its re-execution
-//               may write anywhere in it. Lowest id always wins.
+//               sparse frontier's ascending list), logging each update's
+//               read and declared-write *neighborhood footprint* (the
+//               vertices whose state or incident edges it touches) and its
+//               decision in a per-item LocalState. No shared state is written.
+//   2. resolve — thread 0 sweeps the planned items in ascending id with a
+//               per-vertex dirty stamp: an item aborts iff its vertex or any
+//               footprint vertex was dirtied by a smaller item this round
+//               (the scan stops at the first dirty entry); a committed
+//               writer dirties its vertex and its write log; an *aborted*
+//               item dirties its full static neighborhood, because its
+//               re-execution may write anywhere in it. Lowest id always wins.
 //   3. commit — committed items apply their writes in parallel (their write
 //               neighborhoods are pairwise disjoint by construction, so plain
 //               aligned access is race-free); aborted items are rescheduled
-//               and re-execute from scratch next round.
+//               and re-execute from scratch next round. Thread 0 then
+//               advances the frontier.
 //
 // Operators declare a *cautious point* — all reads happen in plan(), all
 // writes in commit() — via the CautiousProgram concept, so rollback is simply
 // "don't run commit()": no undo logs (Galois's cautious-operator discipline,
-// SNIPPETS.md §1–2). Per-round operator-local state lives in a per-thread
-// mem::IterArena and is recycled wholesale each round.
+// SNIPPETS.md §1–2). Per-round LocalState lives in the lane's `locals`,
+// cleared (capacity kept) each round.
 //
 // Why the result equals sequential greedy-by-id execution, independent of
 // thread count: the commit/abort decision depends only on footprints and id
@@ -51,7 +56,7 @@
 #include "engine/options.hpp"
 #include "engine/vertex_program.hpp"
 #include "graph/graph.hpp"
-#include "mem/iter_arena.hpp"
+#include "util/barrier.hpp"
 #include "util/thread_team.hpp"
 #include "util/timer.hpp"
 
@@ -87,22 +92,45 @@ concept CautiousProgram =
       { P::kCautious } -> std::convertible_to<bool>;
     } && P::kCautious;
 
-/// One recorded footprint access: the *vertex* a speculative read or write
-/// intent maps onto (edge accesses map to the other endpoint; the planning
-/// vertex itself is tracked implicitly by the resolver).
-struct SpecFootprint {
-  VertexId vtx;
-  std::uint8_t write;  // 0 = read, 1 = declared write intent
-};
-
-/// One planned update, pointing into its thread's footprint log. `committed`
-/// is filled by the resolution sweep.
+/// One planned update. Its read and write logs are the slices of its lane's
+/// `reads`/`writes` ending at read_end/write_end and starting where the
+/// previous item's ended. `committed` is filled by the resolution sweep.
 struct SpecItem {
   VertexId v;
-  std::uint32_t foot_begin;
-  std::uint32_t foot_end;
-  void* local;  // LocalState, allocated from the thread's IterArena
+  std::uint32_t read_end;
+  std::uint32_t write_end;
   bool committed;
+};
+static_assert(sizeof(SpecItem) == 16);
+
+/// One thread's round logs, in ascending id order. A footprint entry is the
+/// *vertex* a speculative read or write intent maps onto (edge accesses map
+/// to the other endpoint; the planning vertex itself is tracked implicitly by
+/// the resolver).
+struct SpecLog {
+  std::vector<VertexId> reads;
+  std::vector<VertexId> writes;
+  std::vector<SpecItem> items;
+
+  void clear() {
+    reads.clear();
+    writes.clear();
+    items.clear();
+  }
+};
+
+/// Everything one worker touches during a round, on its own cache lines so
+/// plan-phase pushes and counter bumps never false-share with a neighbour's.
+template <typename LocalState>
+struct alignas(64) SpecLane : SpecLog {
+  std::vector<LocalState> locals;  // indexed like items
+  std::uint64_t updates = 0;
+  std::uint64_t work = 0;
+
+  void clear() {
+    SpecLog::clear();
+    locals.clear();
+  }
 };
 
 struct SpecResolution {
@@ -110,26 +138,25 @@ struct SpecResolution {
   std::uint64_t aborts = 0;
 };
 
-/// The sequential conflict-resolution sweep (phase 2). `items[t]` holds
-/// thread t's planned updates in ascending id order, and the thread blocks
-/// are contiguous ascending, so iterating t = 0..T-1 visits every item in
-/// global id order. `dirty` is a per-vertex round stamp (never cleared; a
-/// vertex is dirty iff dirty[v] == round, so `round` must start at 1).
-SpecResolution resolve_speculative_round(
-    const Graph& g, std::span<const std::vector<SpecFootprint>> footprints,
-    std::span<std::vector<SpecItem>> items, std::vector<std::uint32_t>& dirty,
-    std::uint32_t round);
+/// The sequential conflict-resolution sweep (phase 2) over one lane. Thread
+/// blocks are contiguous ascending, so calling this for lanes t = 0..T-1 in
+/// order visits every item in global id order. `dirty` is a per-vertex round
+/// stamp (never cleared; a vertex is dirty iff dirty[v] == round, so `round`
+/// must start at 1). Adds the lane's decisions to `res`.
+void resolve_speculative_lane(const Graph& g, SpecLog& lane,
+                              std::vector<std::uint32_t>& dirty,
+                              std::uint32_t round, SpecResolution& res);
 
 /// The plan phase's window onto the system: reads route through an access
-/// policy AND land in the footprint log; writes are *declarations only*.
+/// policy AND land in the read log; writes are *declarations only*, kept in
+/// the write log.
 template <EdgePod ED, typename GraphT = Graph>
 class PlanContext {
  public:
   using EdgeData = ED;
 
-  PlanContext(const GraphT& g, EdgeDataArray<ED>& edges,
-              std::vector<SpecFootprint>& footprints)
-      : g_(&g), edges_(&edges), foot_(&footprints) {}
+  PlanContext(const GraphT& g, EdgeDataArray<ED>& edges, SpecLog& log)
+      : g_(&g), edges_(&edges), log_(&log) {}
 
   void begin(VertexId v, std::size_t iteration) {
     v_ = v;
@@ -154,27 +181,27 @@ class PlanContext {
   /// shared with exactly that vertex's updates). Plain aligned access is safe:
   /// nothing writes during the plan phase.
   [[nodiscard]] ED read(EdgeId e, VertexId other_endpoint) {
-    foot_->push_back(SpecFootprint{other_endpoint, 0});
+    log_->reads.push_back(other_endpoint);
     return policy_.read(*edges_, e);
   }
 
   /// Records a read of u's *program state* (arrays owned by the program,
   /// invisible to the edge-data layer). The caller does the actual read.
-  void read_vertex(VertexId u) { foot_->push_back(SpecFootprint{u, 0}); }
+  void read_vertex(VertexId u) { log_->reads.push_back(u); }
 
   /// Declares that commit will write edge e (shared with other_endpoint).
   void will_write(EdgeId e, VertexId other_endpoint) {
     (void)e;  // the footprint is vertex-granular
-    foot_->push_back(SpecFootprint{other_endpoint, 1});
+    log_->writes.push_back(other_endpoint);
   }
 
   /// Declares that commit will write u's program state.
-  void will_write_vertex(VertexId u) { foot_->push_back(SpecFootprint{u, 1}); }
+  void will_write_vertex(VertexId u) { log_->writes.push_back(u); }
 
  private:
   const GraphT* g_;
   EdgeDataArray<ED>* edges_;
-  std::vector<SpecFootprint>* foot_;
+  SpecLog* log_;
   AlignedAccess policy_{};
   VertexId v_ = kInvalidVertex;
   std::uint32_t iter_ = 0;
@@ -250,82 +277,90 @@ EngineResult run_speculative(const Graph& g, Program& prog,
   Frontier frontier(g.num_vertices(), FrontierPolicy::kSparse);
   frontier.seed(prog.initial_frontier(g));
 
-  std::vector<std::vector<SpecFootprint>> footprints(nt);
-  std::vector<std::vector<SpecItem>> items(nt);
-  std::vector<mem::IterArena> arenas;
-  arenas.reserve(nt);
-  for (std::size_t t = 0; t < nt; ++t) arenas.emplace_back();
-  // Round stamps start at 1: a zero-filled array means "never dirtied".
-  std::vector<std::uint32_t> dirty(g.num_vertices(), 0);
-
-  std::vector<std::uint64_t> thread_updates(nt, 0);
-  std::vector<std::uint64_t> thread_work(nt, 0);
-
-  ThreadTeam team(nt);
+  std::vector<SpecLane<LocalState>> lanes(nt);
+  SpinBarrier barrier(nt);
   EngineResult result;
-  std::uint32_t round = 0;
-  while (!frontier.empty() && result.iterations < opts.max_iterations) {
-    ++round;
-    const std::vector<VertexId>& cur = frontier.current();
-    result.frontier_sizes.push_back(cur.size());
+  // Written by thread 0 between barriers only; read by all after a barrier.
+  std::size_t iterations = 0;
+  SpecResolution totals;
 
-    // Phase 1: speculative plan. Thread t owns one contiguous ascending block
-    // of the worklist; nothing shared is written.
-    parallel_for_blocks(cur.size(), team,
-                        [&](std::size_t begin, std::size_t end,
-                            std::size_t tid) {
-      arenas[tid].reset();
-      footprints[tid].clear();
-      items[tid].clear();
-      PlanContext<ED> ctx(g, edges, footprints[tid]);
+  run_team(nt, [&](std::size_t tid) {
+    bool sense = false;
+    SpecLane<LocalState>& lane = lanes[tid];
+    PlanContext<ED> plan_ctx(g, edges, lane);
+    CommitContext<ED> commit_ctx(g, edges, frontier);
+    // Thread 0's resolve state: a per-vertex round stamp (starting at 1, so
+    // zero means "never dirtied") and the per-round worklist sizes.
+    std::vector<std::uint32_t> dirty(tid == 0 ? g.num_vertices() : 0, 0);
+    std::vector<std::uint64_t> sizes;
+    while (!frontier.empty() && iterations < opts.max_iterations) {
+      // Phase 1: speculative plan. Thread t owns one contiguous ascending
+      // block of the worklist; nothing shared is written.
+      const std::vector<VertexId>& cur = frontier.current();
+      const auto [begin, end] = static_block(cur.size(), nt, tid);
+      lane.clear();
       for (std::size_t i = begin; i < end; ++i) {
         const VertexId v = cur[i];
-        LocalState* local = arenas[tid].alloc<LocalState>();
-        *local = LocalState{};
-        ctx.begin(v, result.iterations);
-        const auto foot_begin =
-            static_cast<std::uint32_t>(footprints[tid].size());
-        prog.plan(v, ctx, *local);
-        items[tid].push_back(
-            SpecItem{v, foot_begin,
-                     static_cast<std::uint32_t>(footprints[tid].size()), local,
-                     false});
-        ++thread_updates[tid];
-        thread_work[tid] += g.in_degree(v) + g.out_degree(v);
+        plan_ctx.begin(v, iterations);
+        prog.plan(v, plan_ctx, lane.locals.emplace_back());
+        lane.items.push_back(
+            SpecItem{v, static_cast<std::uint32_t>(lane.reads.size()),
+                     static_cast<std::uint32_t>(lane.writes.size()), false});
+        lane.work += g.in_degree(v) + g.out_degree(v);
       }
-    });
+      lane.updates += end - begin;
+      barrier.arrive_and_wait(sense);
 
-    // Phase 2: sequential conflict resolution in global id order.
-    const SpecResolution res = resolve_speculative_round(
-        g, std::span<const std::vector<SpecFootprint>>(footprints),
-        std::span<std::vector<SpecItem>>(items), dirty, round);
-    result.spec_commits += res.commits;
-    result.spec_aborts += res.aborts;
+      // Phase 2: sequential conflict resolution in global id order.
+      if (tid == 0) {
+        const auto round = static_cast<std::uint32_t>(iterations + 1);
+        for (SpecLane<LocalState>& l : lanes) {
+          resolve_speculative_lane(g, l, dirty, round, totals);
+        }
+        sizes.push_back(cur.size());
+      }
+      barrier.arrive_and_wait(sense);
 
-    // Phase 3: parallel commit of winners; losers re-enter the worklist and
-    // re-plan from scratch next round (cautious operators need no undo).
-    parallel_for_blocks(cur.size(), team,
-                        [&](std::size_t /*begin*/, std::size_t /*end*/,
-                            std::size_t tid) {
-      CommitContext<ED> ctx(g, edges, frontier);
-      for (SpecItem& item : items[tid]) {
+      // Phase 3: parallel commit of winners; losers re-enter the worklist and
+      // re-plan from scratch next round (cautious operators need no undo).
+      for (std::size_t k = 0; k < lane.items.size(); ++k) {
+        const SpecItem& item = lane.items[k];
         if (item.committed) {
-          ctx.begin(item.v, result.iterations);
-          prog.commit(item.v, ctx, *static_cast<const LocalState*>(item.local));
+          commit_ctx.begin(item.v, iterations);
+          prog.commit(item.v, commit_ctx, lane.locals[k]);
         } else {
           frontier.schedule(item.v);
         }
       }
-    });
+      barrier.arrive_and_wait(sense);
 
-    frontier.advance();
-    ++result.iterations;
-  }
+      if (tid == 0) {
+        frontier.advance();
+        ++iterations;
+      }
+      barrier.arrive_and_wait(sense);
+    }
+    if (tid == 0) {
+      // The result's vectors are built at exact size here, beside the rest
+      // of the run's allocations: built on the calling thread, the results
+      // a caller keeps (one per solve in a benchmark loop) would land in the
+      // holes of its own heap. Every lane's counters were last written
+      // before the final barrier.
+      result.frontier_sizes.assign(sizes.begin(), sizes.end());
+      result.per_thread_updates.resize(nt);
+      result.per_thread_work.resize(nt);
+      for (std::size_t t = 0; t < nt; ++t) {
+        result.per_thread_updates[t] = lanes[t].updates;
+        result.per_thread_work[t] = lanes[t].work;
+      }
+    }
+  });
 
+  result.iterations = iterations;
   result.converged = frontier.empty();
-  result.updates = result.spec_commits + result.spec_aborts;
-  result.per_thread_updates = thread_updates;
-  result.per_thread_work = thread_work;
+  result.spec_commits = totals.commits;
+  result.spec_aborts = totals.aborts;
+  result.updates = totals.commits + totals.aborts;
   result.seconds = timer.seconds();
   return result;
 }

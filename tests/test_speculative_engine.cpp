@@ -2,12 +2,14 @@
 // contract is that its parallel result equals the sequential greedy-by-id
 // oracle EXACTLY — at every thread count, on every graph shape — and that its
 // round/commit/abort telemetry is timing-independent (a function of
-// footprints and id order only). Also covers the per-iteration arena and the
-// engine's round-cap behaviour.
+// footprints and id order only). Also pins golden counts, checks the resolve
+// sweep on hand-built lanes, and covers the engine's round-cap behaviour.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <numeric>
 #include <vector>
 
 #include "algorithms/greedy_coloring.hpp"
@@ -16,7 +18,6 @@
 #include "algorithms/reference/references.hpp"
 #include "engine/speculative.hpp"
 #include "graph/generators.hpp"
-#include "mem/iter_arena.hpp"
 
 namespace ndg {
 namespace {
@@ -185,42 +186,115 @@ TEST(SpeculativeEngine, HandCheckedPath3) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// IterArena: the per-round bump allocator behind the plan phase's LocalState
-// storage. reset() must retain capacity (no steady-state allocation churn)
-// and alloc must honour alignment across chunk boundaries.
+// Golden counts on the web-google-sim stand-in at scale 256 (the perfbench
+// spec-coloring and ablation_speculative input). Round, commit and abort
+// counts are a function of footprints and id order alone, so an engine
+// rewrite that changes any of them changed a commit/abort decision.
+struct GoldenCounts {
+  std::size_t rounds;
+  std::uint64_t commits;
+  std::uint64_t aborts;
+};
 
-TEST(IterArena, ResetRetainsCapacity) {
-  mem::IterArena arena(256);
-  for (int round = 0; round < 3; ++round) {
-    arena.reset();
-    for (int i = 0; i < 100; ++i) {
-      auto* p = arena.alloc<std::uint64_t>();
-      *p = 42;  // must be writable
-    }
+template <typename Program>
+void expect_golden(const Graph& g, const GoldenCounts& want) {
+  for (const std::size_t nt : {1u, 2u, 4u}) {
+    Program prog;
+    const EngineResult r = run_spec(g, prog, nt);
+    EXPECT_TRUE(r.converged) << "threads=" << nt;
+    EXPECT_EQ(r.iterations, want.rounds) << "threads=" << nt;
+    EXPECT_EQ(r.spec_commits, want.commits) << "threads=" << nt;
+    EXPECT_EQ(r.spec_aborts, want.aborts) << "threads=" << nt;
+    EXPECT_EQ(r.frontier_sizes.size(), want.rounds) << "threads=" << nt;
+    ASSERT_EQ(r.per_thread_updates.size(), nt);
+    EXPECT_EQ(std::accumulate(r.per_thread_updates.begin(),
+                              r.per_thread_updates.end(), std::uint64_t{0}),
+              r.updates)
+        << "threads=" << nt;
   }
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  for (int i = 0; i < 100; ++i) (void)arena.alloc<std::uint64_t>();
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
 }
 
-TEST(IterArena, AlignmentAndOversizeAllocations) {
-  mem::IterArena arena(64);
-  struct alignas(32) Wide {
-    double d[4];
-  };
-  for (int i = 0; i < 16; ++i) {
-    auto* w = arena.alloc<Wide>();
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w) % alignof(Wide), 0u);
-    w->d[0] = 1.0;
+TEST(SpeculativeTelemetry, GoldenCountsWebGoogleScale256) {
+  const Graph g = Graph::build(3579, gen::rmat(3579, 19941, 20150708));
+  expect_golden<MatchingProgram>(g, {791, 3579, 1043266});
+  expect_golden<GreedyColoringProgram>(g, {928, 20620, 1160970});
+  expect_golden<MisProgram>(g, {928, 20620, 1160970});
+}
+
+// ---------------------------------------------------------------------------
+// The resolve sweep on hand-built lanes over the path 0 -> 1 -> 2 -> 3 -> 4,
+// where N(2) = {1, 3} through one in-edge and one out-edge.
+
+class ResolveLane : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kRound = 3;
+
+  void add(VertexId v, std::initializer_list<VertexId> reads,
+           std::initializer_list<VertexId> writes) {
+    lane_.reads.insert(lane_.reads.end(), reads);
+    lane_.writes.insert(lane_.writes.end(), writes);
+    lane_.items.push_back(
+        SpecItem{v, static_cast<std::uint32_t>(lane_.reads.size()),
+                 static_cast<std::uint32_t>(lane_.writes.size()), false});
   }
-  // A request larger than the chunk size gets its own chunk.
-  void* big = arena.alloc_bytes(1024, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 16, 0u);
-  EXPECT_GE(arena.bytes_in_use(), 1024u);
+
+  void resolve() { resolve_speculative_lane(g_, lane_, dirty_, kRound, res_); }
+
+  [[nodiscard]] std::vector<VertexId> dirtied() const {
+    std::vector<VertexId> out;
+    for (VertexId u = 0; u < dirty_.size(); ++u) {
+      if (dirty_[u] == kRound) out.push_back(u);
+    }
+    return out;
+  }
+
+  Graph g_ = Graph::build(5, gen::chain(5));
+  std::vector<std::uint32_t> dirty_ = std::vector<std::uint32_t>(5, 0);
+  SpecLog lane_;
+  SpecResolution res_;
+};
+
+TEST_F(ResolveLane, FirstReadDirtyAbortsAndPoisonsNeighborhood) {
+  dirty_[1] = kRound;  // a smaller item dirtied 1 earlier this round
+  add(2, {1, 3}, {3});
+  resolve();
+  EXPECT_FALSE(lane_.items[0].committed);
+  EXPECT_EQ(res_.aborts, 1u);
+  EXPECT_EQ(res_.commits, 0u);
+  EXPECT_EQ(dirtied(), (std::vector<VertexId>{1, 2, 3}));
+}
+
+TEST_F(ResolveLane, CommitWithoutWritesLeavesVertexClean) {
+  dirty_[2] = kRound - 1;  // stale stamp from an earlier round
+  add(2, {1, 3}, {});
+  resolve();
+  EXPECT_TRUE(lane_.items[0].committed);
+  EXPECT_EQ(res_.commits, 1u);
+  EXPECT_EQ(dirty_[2], kRound - 1);
+  EXPECT_TRUE(dirtied().empty());
+}
+
+TEST_F(ResolveLane, CommitWithWritesDirtiesVertexAndWriteLogOnly) {
+  add(2, {1, 3}, {3});
+  resolve();
+  EXPECT_TRUE(lane_.items[0].committed);
+  EXPECT_EQ(res_.commits, 1u);
+  EXPECT_EQ(dirtied(), (std::vector<VertexId>{2, 3}));
+}
+
+// Items slice the lane's logs by the previous item's ends: a later item sees
+// an earlier one's marks, and its own read slice decides its fate.
+TEST_F(ResolveLane, LaterItemSeesEarlierWrites) {
+  add(0, {1}, {});   // commits, marks nothing
+  add(2, {1, 3}, {3});  // commits, marks 2 and 3
+  add(4, {3}, {});   // reads 3: aborts, poisons {3, 4}
+  resolve();
+  EXPECT_TRUE(lane_.items[0].committed);
+  EXPECT_TRUE(lane_.items[1].committed);
+  EXPECT_FALSE(lane_.items[2].committed);
+  EXPECT_EQ(res_.commits, 2u);
+  EXPECT_EQ(res_.aborts, 1u);
+  EXPECT_EQ(dirtied(), (std::vector<VertexId>{2, 3, 4}));
 }
 
 }  // namespace
