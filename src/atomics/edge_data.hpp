@@ -10,6 +10,7 @@
 // the paper's atomicity methods (locking, aligned plain access, C++ atomics)
 // can operate on the *same* storage.
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <type_traits>
@@ -92,19 +93,30 @@ class EdgeDataArray {
   }
 
   /// Grows the slot array to `n` edges, preserving existing data (edge ids
-  /// are stable across growth). New slots hold `init`. Shrinking is a no-op:
-  /// the dynamic-graph layer only ever retires ids at compaction, which
-  /// rebuilds the array wholesale. Callers must be quiescent (no concurrent
-  /// readers/writers) — growth happens between epochs in src/dyn/.
+  /// are stable across growth). New slots hold `init`. The slot array keeps
+  /// a capacity apart from its size: growth within capacity only initialises
+  /// slots [size, n) in place, and growth past it reallocates once, to
+  /// max(n, capacity + capacity/2), so a stream of epochs that each add a few
+  /// edge ids costs O(new ids) amortised rather than a copy of every slot
+  /// per epoch. The sized constructor and clone() allocate exactly.
+  /// Shrinking is a no-op: the dynamic-graph layer only ever retires ids at
+  /// compaction, which rebuilds the array wholesale at exact size. Callers
+  /// must be quiescent (no concurrent readers/writers) — growth happens
+  /// between epochs in src/dyn/.
   void resize(EdgeId n, T init = T{}) {
     if (n <= size_) return;
-    raw_ = raw_.resized(n);
+    if (n > capacity()) {
+      raw_ = raw_.resized(std::max<EdgeId>(n, capacity() + capacity() / 2));
+    }
     const std::uint64_t s = detail::to_slot(init);
     for (EdgeId e = size_; e < n; ++e) {
       slots()[e].store(s, std::memory_order_relaxed);
     }
     size_ = n;
   }
+
+  /// Slots allocated; size() <= capacity(). Only resize() leaves slack.
+  [[nodiscard]] EdgeId capacity() const { return raw_.size(); }
 
   /// Deep copy (used by the BSP engine's double buffering and by the
   /// result-variance experiments to snapshot runs). Keeps the placement spec.

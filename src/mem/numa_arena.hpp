@@ -66,14 +66,12 @@ class Buffer {
   Buffer() = default;
 
   explicit Buffer(std::size_t n, const MemSpec& spec = {})
-      : size_(n), spec_(spec), block_(NumaArena::alloc(n * sizeof(T), spec)) {
-    if (!block_.mapped && n > 0) {
-      // operator-new memory is uninitialized; mapped pages arrive zeroed.
-      std::memset(block_.ptr, 0, n * sizeof(T));
-    }
+      : Buffer(n, spec, Uninitialized{}) {
+    zero_from(0);
   }
 
-  Buffer(const Buffer& other) : Buffer(other.size_, other.spec_) {
+  Buffer(const Buffer& other)
+      : Buffer(other.size_, other.spec_, Uninitialized{}) {
     if (size_ > 0) std::memcpy(block_.ptr, other.block_.ptr, size_ * sizeof(T));
   }
 
@@ -95,10 +93,13 @@ class Buffer {
   /// min(n, size) elements are copied, any tail is zeroed. This is the growth
   /// primitive behind the dynamic-graph overflow segments and edge-data
   /// regrowth (src/dyn/) — one allocation, one memcpy, no element-wise work.
+  /// Each byte of the new block is written once: the copied prefix is not
+  /// zeroed first.
   [[nodiscard]] Buffer resized(std::size_t n) const {
-    Buffer out(n, spec_);
+    Buffer out(n, spec_, Uninitialized{});
     const std::size_t keep = std::min(n, size_);
     if (keep > 0) std::memcpy(out.block_.ptr, block_.ptr, keep * sizeof(T));
+    out.zero_from(keep);
     return out;
   }
 
@@ -132,6 +133,19 @@ class Buffer {
   [[nodiscard]] const T* end() const { return data() + size_; }
 
  private:
+  struct Uninitialized {};
+
+  Buffer(std::size_t n, const MemSpec& spec, Uninitialized)
+      : size_(n), spec_(spec), block_(NumaArena::alloc(n * sizeof(T), spec)) {}
+
+  /// Zeroes elements [from, size). operator-new memory is uninitialized;
+  /// mapped pages arrive zeroed, so they are left alone.
+  void zero_from(std::size_t from) {
+    if (!block_.mapped && from < size_) {
+      std::memset(data() + from, 0, (size_ - from) * sizeof(T));
+    }
+  }
+
   std::size_t size_ = 0;
   MemSpec spec_{};
   NumaArena::Block block_{};

@@ -53,6 +53,91 @@ TEST(EdgeData, CloneIsDeepCopy) {
   EXPECT_EQ(arr.get(0), 1u);
 }
 
+TEST(EdgeData, GrowthKeepsContentsAndInitialisesNewSlots) {
+  EdgeDataArray<std::uint32_t> arr(5, 3);
+  for (EdgeId e = 0; e < 5; ++e) arr.set(e, static_cast<std::uint32_t>(e));
+  arr.resize(12, 77);
+  ASSERT_EQ(arr.size(), 12u);
+  EXPECT_GE(arr.capacity(), 12u);
+  for (EdgeId e = 0; e < 5; ++e) EXPECT_EQ(arr.get(e), e);
+  for (EdgeId e = 5; e < 12; ++e) EXPECT_EQ(arr.get(e), 77u);
+  arr.resize(4, 9);  // shrinking is a no-op
+  EXPECT_EQ(arr.size(), 12u);
+  EXPECT_EQ(arr.get(3), 3u);
+}
+
+TEST(EdgeData, GrowthWithinCapacityInitialisesInPlace) {
+  EdgeDataArray<float> arr(8, 1.0f);
+  arr.resize(9, 2.0f);  // past the exact-size capacity: one reallocation
+  const EdgeId cap = arr.capacity();
+  ASSERT_GT(cap, 9u);
+  arr.set(0, -1.0f);
+  const auto* slots = arr.slots();
+  // Dirty the spare slots through the raw storage: growth must overwrite
+  // them with `init`, not expose what was left there.
+  for (EdgeId e = 9; e < cap; ++e) {
+    arr.slots()[e].store(~std::uint64_t{0}, std::memory_order_relaxed);
+  }
+  arr.resize(cap, 4.0f);
+  EXPECT_EQ(arr.slots(), slots);
+  EXPECT_EQ(arr.capacity(), cap);
+  EXPECT_EQ(arr.get(0), -1.0f);
+  for (EdgeId e = 1; e < 8; ++e) EXPECT_EQ(arr.get(e), 1.0f);
+  EXPECT_EQ(arr.get(8), 2.0f);
+  for (EdgeId e = 9; e < cap; ++e) EXPECT_EQ(arr.get(e), 4.0f);
+}
+
+TEST(EdgeData, SingleSlotGrowthReallocatesGeometrically) {
+  constexpr EdgeId kStart = 1000;
+  EdgeDataArray<std::uint64_t> arr(kStart, 0);
+  ASSERT_EQ(arr.capacity(), kStart);
+  int reallocations = 0;
+  const auto* slots = arr.slots();
+  for (EdgeId n = kStart + 1; n <= 2 * kStart; ++n) {
+    arr.resize(n, n);
+    if (arr.slots() != slots) {
+      ++reallocations;
+      slots = arr.slots();
+    }
+    ASSERT_EQ(arr.get(n - 1), n);
+  }
+  EXPECT_LE(reallocations, 2);
+  for (EdgeId e = kStart; e < 2 * kStart; ++e) ASSERT_EQ(arr.get(e), e + 1);
+}
+
+TEST(EdgeData, CloneIsExactSize) {
+  EdgeDataArray<std::uint32_t> arr(100, 5);
+  arr.resize(101, 6);
+  ASSERT_GT(arr.capacity(), arr.size());
+  const EdgeDataArray<std::uint32_t> copy = arr.clone();
+  EXPECT_EQ(copy.size(), 101u);
+  EXPECT_EQ(copy.capacity(), 101u);
+  EXPECT_EQ(copy.get(99), 5u);
+  EXPECT_EQ(copy.get(100), 6u);
+}
+
+TEST(MemBuffer, ResizedCopiesPrefixAndZeroesTail) {
+  constexpr std::size_t kN = 4096;
+  for (const MemPolicy policy : {MemPolicy::kDefault, MemPolicy::kHugepage}) {
+    const MemSpec spec{.policy = policy};
+    {
+      // Leave dirty memory behind for the allocator to hand out again.
+      mem::Buffer<std::uint64_t> dirty(kN, spec);
+      for (std::uint64_t& x : dirty) x = ~std::uint64_t{0};
+    }
+    mem::Buffer<std::uint64_t> small(5, spec);
+    for (std::size_t i = 0; i < small.size(); ++i) small[i] = i + 1;
+    const mem::Buffer<std::uint64_t> grown = small.resized(kN);
+    ASSERT_EQ(grown.size(), kN);
+    EXPECT_EQ(grown.spec().policy, policy);
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(grown[i], i + 1);
+    for (std::size_t i = 5; i < kN; ++i) ASSERT_EQ(grown[i], 0u) << i;
+    const mem::Buffer<std::uint64_t> shrunk = grown.resized(3);
+    ASSERT_EQ(shrunk.size(), 3u);
+    EXPECT_EQ(shrunk[2], 3u);
+  }
+}
+
 TEST(LockTable, LockUnlockSingleThread) {
   EdgeLockTable locks(4);
   locks.lock(2);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -564,6 +565,98 @@ TEST(DynIncremental, ReplayEpochTracksApplyEpochExactly) {
   EXPECT_TRUE(saw_cold);
   EXPECT_TRUE(saw_compact);
   EXPECT_GT(follower.warm_runs(), 0u);
+}
+
+/// `count` inserts of edges absent from the current view, all distinct.
+MutationBatch insert_batch(const DynGraph& dg, std::uint64_t seed,
+                           std::uint64_t epoch, std::size_t count) {
+  MutationBatch batch;
+  batch.epoch = epoch;
+  SplitMix64 rng(seed);
+  while (batch.mutations.size() < count) {
+    const auto u = static_cast<VertexId>(rng.next() % kV);
+    const auto v = static_cast<VertexId>(rng.next() % kV);
+    const bool queued = std::any_of(
+        batch.mutations.begin(), batch.mutations.end(),
+        [&](const Mutation& m) { return m.src == u && m.dst == v; });
+    if (u == v || queued || dg.has_edge(u, v)) continue;
+    batch.mutations.push_back(Mutation{MutationKind::kInsertEdge, u, v,
+                                       1.0f + static_cast<float>(rng.next() % 8)});
+  }
+  return batch;
+}
+
+bool same_slots(const EdgeDataArray<SsspEdge>& a,
+                const EdgeDataArray<SsspEdge>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.slots(), b.slots(), a.size() * sizeof(std::uint64_t)) ==
+             0;
+}
+
+// A long warm stream grows the edge-slot array a few ids at a time, the
+// serving tier's steady state. Growth must keep the shipping and replaying
+// engines bit-identical, reallocate only geometrically often, and leave a
+// state a cold recompute agrees with; compaction packs the slack away.
+TEST(DynIncremental, WarmInsertStreamGrowsSlotsGeometrically) {
+  DynGraphOptions gopts;
+  gopts.base_weight = [](EdgeId e) { return SsspProgram::edge_weight(42, e); };
+  gopts.compact_threshold = 1e9;  // keep every epoch's growth in the array
+  DynGraph leader_g(base_graph(), gopts);
+  DynGraph follower_g(base_graph(), gopts);
+  SsspProgram leader_prog(/*source=*/0, /*weight_seed=*/42);
+  SsspProgram follower_prog(/*source=*/0, /*weight_seed=*/42);
+  IncrementalEngine<SsspProgram> leader(
+      leader_g, leader_prog, EligibilityGate(EligibilityVerdict::kTheorem2),
+      make_opts(AtomicityMode::kRelaxed));
+  IncrementalEngine<SsspProgram> follower(
+      follower_g, follower_prog,
+      EligibilityGate(EligibilityVerdict::kTheorem2),
+      make_opts(AtomicityMode::kRelaxed));
+  ASSERT_TRUE(leader.recompute_cold().converged);
+  ASSERT_TRUE(follower.recompute_cold().converged);
+  const EdgeId base_edges = leader.edges().size();
+  ASSERT_EQ(leader.edges().capacity(), base_edges);
+
+  int reallocations = 0;
+  const auto* slots = leader.edges().slots();
+  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+    const MutationBatch batch =
+        insert_batch(leader_g, 7000 + epoch, epoch, /*count=*/8);
+    std::vector<AppliedMutation> shipped;
+    const EpochResult rl = leader.apply_epoch(batch, true, &shipped);
+    const EpochResult rf =
+        follower.replay_epoch(epoch, shipped, /*compact_after=*/false);
+    ASSERT_TRUE(rl.warm) << "epoch " << epoch;
+    ASSERT_TRUE(rf.warm) << "epoch " << epoch;
+    ASSERT_EQ(rl.apply_stats.applied, batch.mutations.size());
+    ASSERT_FALSE(rl.compacted);
+    ASSERT_TRUE(rl.engine.converged && rf.engine.converged);
+    ASSERT_TRUE(same_slots(leader.edges(), follower.edges()))
+        << "epoch " << epoch;
+    if (leader.edges().slots() != slots) {
+      ++reallocations;
+      slots = leader.edges().slots();
+    }
+  }
+  const EdgeId grown = leader.edges().size();
+  ASSERT_EQ(grown, base_edges + 200 * 8);
+  // Growth by 1.5x per reallocation, not once per epoch (200 here).
+  int geometric = 0;
+  for (EdgeId cap = base_edges; cap < grown; cap += cap / 2) ++geometric;
+  EXPECT_LE(reallocations, geometric);
+  EXPECT_GT(reallocations, 0);
+  EXPECT_EQ(leader_prog.distances(), follower_prog.distances());
+
+  leader.compact_now();
+  follower.compact_now();
+  EXPECT_EQ(leader.edges().capacity(), leader.edges().size());
+  EXPECT_EQ(follower.edges().capacity(), follower.edges().size());
+  EXPECT_EQ(leader.edges().size(), grown);
+  EXPECT_TRUE(same_slots(leader.edges(), follower.edges()));
+
+  const std::vector<float> warm = follower_prog.distances();
+  ASSERT_TRUE(leader.recompute_cold().converged);
+  EXPECT_EQ(leader_prog.distances(), warm);
 }
 
 // The two policies the acceptance criteria require, plus both ends of the
