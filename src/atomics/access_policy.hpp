@@ -3,7 +3,7 @@
 // ablation), expressed as interchangeable access policies over an
 // EdgeDataArray. Engines are templated on the policy so the hot loop pays no
 // per-access dispatch; the runtime AtomicityMode enum is resolved to a policy
-// once per engine run (see engine/dispatch.hpp).
+// once per engine run (with_access_policy, at the end of this file).
 //
 //  * LockedAccess  — method (1): explicit per-edge lock around each read/write.
 //  * AlignedAccess — method (2): plain 8-byte-aligned loads/stores, relying on
@@ -20,6 +20,7 @@
 //    quantify what the paper's relaxed choice saves.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "atomics/edge_data.hpp"
@@ -184,5 +185,25 @@ struct LockedAccess {
     slot.store(detail::to_slot(fn(old)), std::memory_order_relaxed);
   }
 };
+
+/// Resolves the runtime `mode` to its policy once per engine run and returns
+/// f(policy). The kLocked lock table covers `num_edges` and lives exactly as
+/// long as the call, as in the paper's patched GraphChi.
+template <typename Fn>
+auto with_access_policy(AtomicityMode mode, std::size_t num_edges, Fn&& f) {
+  switch (mode) {
+    case AtomicityMode::kLocked: {
+      EdgeLockTable locks(num_edges);
+      return f(LockedAccess{&locks});
+    }
+    case AtomicityMode::kAligned:
+      return f(AlignedAccess{});
+    case AtomicityMode::kSeqCst:
+      return f(SeqCstAccess{});
+    case AtomicityMode::kRelaxed:
+      break;
+  }
+  return f(RelaxedAtomicAccess{});
+}
 
 }  // namespace ndg

@@ -2,6 +2,10 @@
 // DelayedEngine — the NE and pure-async engines wrapped in per-thread delay
 // queues (delay_buffer.hpp), so the paper's propagation delay d is a runtime
 // knob instead of whatever the hardware happens to produce (docs/DELAY.md).
+// Neither run has a loop of its own: the delayed NE run is the barriered NE
+// skeleton (run_barriered in engine/nondeterministic.hpp) and the delayed
+// pure-async run is the async sweep (run_async_sweep in
+// engine/pure_async.hpp), each with its write-sink hook set to DelayedWrites.
 //
 // Semantics. A write is parked in the WRITING thread's queue and committed
 // through the access policy after a bounded number of that thread's update
@@ -30,6 +34,7 @@
 #include <atomic>
 
 #include "atomics/access_policy.hpp"
+#include "atomics/lock_table.hpp"
 #include "delay/delay_buffer.hpp"
 #include "engine/nondeterministic.hpp"
 #include "engine/pure_async.hpp"
@@ -46,20 +51,46 @@ class FrontierSched {
   Frontier* f_;
 };
 
+/// State the delayed writers of one run share. `in_flight` is what the
+/// engines' termination protocols read: it counts buffered (not-yet-visible)
+/// writes across all threads. `last_writer[e]` names the thread (tid + 1)
+/// that issued the newest write to edge e: a queue orders only its own
+/// thread's writes, so two successive updates of one vertex on different
+/// threads could otherwise commit out of order and leave the older value on
+/// the edge for good. A commit whose thread is no longer the last writer of
+/// its edge is superseded and drops its value; `commit_locks` make that test
+/// and the value write one step with respect to other commits.
+struct DelayShared {
+  DelayShared(std::size_t num_threads, std::size_t num_edges)
+      : last_writer(num_edges), commit_locks(num_edges),
+        per_thread(num_threads) {}
+
+  [[nodiscard]] bool pending() const {
+    return in_flight.load(std::memory_order_acquire) != 0;
+  }
+  void report(EngineResult& result) const {
+    for (const DelayTelemetry& t : per_thread) merge_telemetry(result, t);
+  }
+
+  std::atomic<std::uint64_t> in_flight{0};
+  std::vector<std::atomic<std::uint32_t>> last_writer;
+  EdgeLockTable commit_locks;
+  std::vector<DelayTelemetry> per_thread;
+};
+
 /// Update context with the same verb surface as UpdateContext/AsyncContext,
-/// but writes routed through the owning thread's ThreadDelayQueue. The
-/// shared `in_flight` counter is what the engines' termination protocols
-/// read: it counts buffered (not-yet-visible) writes across all threads.
+/// but writes routed through the owning thread's ThreadDelayQueue.
 template <EdgePod ED, typename Policy, typename Sched, typename GraphT = Graph>
 class DelayedContext {
  public:
   using EdgeData = ED;
 
   DelayedContext(const GraphT& g, EdgeDataArray<ED>& edges, Policy policy,
-                 Sched sched, ThreadDelayQueue& queue,
-                 std::atomic<std::uint64_t>& in_flight)
+                 Sched sched, ThreadDelayQueue& queue, DelayShared& shared,
+                 std::size_t tid)
       : g_(&g), edges_(&edges), policy_(policy), sched_(sched),
-        queue_(&queue), in_flight_(&in_flight) {}
+        queue_(&queue), shared_(&shared),
+        writer_(static_cast<std::uint32_t>(tid + 1)) {}
 
   void begin(VertexId v, std::size_t iteration) {
     v_ = v;
@@ -96,12 +127,12 @@ class DelayedContext {
   void prefetch(EdgeId e) const { perf::prefetch_read(edges_->slots() + e); }
 
   void write(EdgeId e, VertexId other_endpoint, ED value) {
-    in_flight_->fetch_add(1, std::memory_order_acq_rel);
+    issue(e);
     queue_->push(e, ndg::detail::to_slot(value), other_endpoint, commit());
   }
 
   void write_silent(EdgeId e, ED value) {
-    in_flight_->fetch_add(1, std::memory_order_acq_rel);
+    issue(e);
     queue_->push(e, ndg::detail::to_slot(value), kInvalidVertex, commit());
   }
 
@@ -122,14 +153,21 @@ class DelayedContext {
   void schedule(VertexId u) { sched_.schedule(u); }
 
   /// The commit callable the engine loops hand to queue.advance/flush_all:
-  /// value first (policy write), then the task rule (schedule), then the
+  /// value first (policy write, unless a newer write to the edge has been
+  /// issued on another thread), then the task rule (schedule), then the
   /// in-flight decrement — so a thread observing in_flight == 0 after seeing
   /// an idle scheduler cannot have missed a handoff in progress.
   [[nodiscard]] auto commit() {
     return [this](EdgeId e, std::uint64_t slot, VertexId endpoint) {
-      policy_.write(*edges_, e, ndg::detail::from_slot<ED>(slot));
+      {
+        const EdgeLockGuard guard(shared_->commit_locks, e);
+        if (shared_->last_writer[e].load(std::memory_order_relaxed) ==
+            writer_) {
+          policy_.write(*edges_, e, ndg::detail::from_slot<ED>(slot));
+        }
+      }
       if (endpoint != kInvalidVertex) sched_.schedule(endpoint);
-      in_flight_->fetch_sub(1, std::memory_order_acq_rel);
+      shared_->in_flight.fetch_sub(1, std::memory_order_acq_rel);
     };
   }
 
@@ -138,258 +176,69 @@ class DelayedContext {
   EdgeDataArray<ED>* edges_;
   Policy policy_;
   Sched sched_;
+  /// Counts the write in flight and marks this thread its edge's newest
+  /// writer.
+  void issue(EdgeId e) {
+    shared_->in_flight.fetch_add(1, std::memory_order_acq_rel);
+    shared_->last_writer[e].store(writer_, std::memory_order_relaxed);
+  }
+
   ThreadDelayQueue* queue_;
-  std::atomic<std::uint64_t>* in_flight_;
+  DelayShared* shared_;
+  std::uint32_t writer_;
   VertexId v_ = kInvalidVertex;
   std::uint32_t iter_ = 0;
 };
 
-/// Barriered (NE-shaped) delayed run: the run_nondet_impl loop with a delay
-/// queue per thread and a termination protocol that also drains in-flight
-/// writes. Rounds where the frontier is empty but writes are still buffered
-/// appear as zero-size iterations in frontier_sizes — they are rounds the
-/// delay genuinely cost.
-template <typename GraphT, VertexProgram Program, typename Policy, Worklist WL>
-EngineResult run_delayed_ne_impl(const GraphT& g, Program& prog,
-                                 EdgeDataArray<typename Program::EdgeData>& edges,
-                                 Policy policy, const EngineOptions& opts,
-                                 std::vector<VertexId> seeds) {
-  Timer timer;
-  Frontier frontier(g.num_vertices(), opts.frontier_policy,
-                    opts.frontier_dense_divisor);
-  frontier.seed(std::move(seeds));
+/// Write sink (engine/update_context.hpp ImmediateWrites has the interface)
+/// of the delayed runs: a delay queue per thread, one queue step per own
+/// update, one tick per idle round, drains while the scheduler is idle but
+/// writes are still buffered, and a pending test on the shared in-flight
+/// counter that keeps the run from ending early. Sched is FrontierSched in
+/// the barriered NE skeleton (run_barriered), where drain rounds appear as
+/// zero-size iterations in frontier_sizes — rounds the delay genuinely cost
+/// — and AsyncSweepView in the pure-async sweep (run_async_sweep).
+template <EdgePod ED, typename Policy, typename Sched, typename GraphT>
+struct DelayedWrites {
+  static constexpr bool kBuffers = true;
 
-  const std::size_t nt = std::max<std::size_t>(1, opts.num_threads);
-  SpinBarrier barrier(nt);
-  WL worklist = ndg::detail::make_worklist<WL>(nt, opts);
-  std::vector<std::uint64_t> per_updates(nt, 0);
-  std::vector<std::uint64_t> per_work(nt, 0);
-  std::vector<DelayTelemetry> per_delay(nt);
-  std::atomic<std::uint64_t> in_flight{0};
-  std::size_t iterations = 0;  // written by thread 0 between barriers only
-  bool stop = false;           // likewise
-  std::vector<std::uint64_t> frontier_sizes;
-  std::vector<std::uint8_t> frontier_dense;
+  using Shared = DelayShared;
 
-  run_team(nt, [&](std::size_t tid) {
-    bool sense = false;
-    ThreadDelayQueue queue(opts.delay, tid);
-    DelayedContext<typename Program::EdgeData, Policy, FrontierSched, GraphT>
-        ctx(g, edges, policy, FrontierSched(frontier), queue, in_flight);
-    const auto commit = ctx.commit();
-    std::uint64_t local_updates = 0;
-    std::uint64_t local_work = 0;
-    for (std::size_t iter = 0;; ++iter) {
-      // All threads observe the same stop/frontier state here: thread 0
-      // mutated it strictly between the two barriers of the previous round.
-      if (stop || iter >= opts.max_iterations) break;
+  /// `sched` is the scheduler the engine hands every sink; Sched wraps it.
+  template <typename SchedArg>
+  DelayedWrites(Shared& shared, const EngineOptions& opts, std::size_t tid,
+                const GraphT& g, EdgeDataArray<ED>& edges, Policy policy,
+                SchedArg&& sched)
+      : queue(opts.delay, tid),
+        ctx(g, edges, policy, Sched(std::forward<SchedArg>(sched)), queue,
+            shared, tid) {}
 
-      // Drain-vs-normal is agreed across threads (frontier state is shared
-      // and quiescent here), so the barrier pattern below stays consistent.
-      const bool drain_round = frontier.empty();
-      if (drain_round) {
-        // No scheduled work anywhere, but writes are still in flight: every
-        // thread force-commits its own queue. The commits re-schedule the
-        // written endpoints, so the next round has a frontier again.
-        queue.flush_all(commit);
-      } else {
-        const auto feed = [&](VertexId v) {
-          worklist.push(tid, v, scheduling_priority(prog, v));
-        };
-        if (frontier.dense()) {
-          const auto [wb, we] = static_block(frontier.num_words(), nt, tid);
-          frontier.for_each_in_words(
-              wb, we, [&](std::size_t v) { feed(static_cast<VertexId>(v)); });
-        } else {
-          const auto& cur = frontier.current();
-          const auto [begin, end] = static_block(cur.size(), nt, tid);
-          for (std::size_t i = begin; i < end; ++i) feed(cur[i]);
-        }
-        worklist.publish(tid);
-        if constexpr (WL::kShared) {
-          barrier.arrive_and_wait(sense);
-        }
-
-        VertexId v;
-        bool did_work = false;
-        while (worklist.try_pop(tid, v)) {
-          ctx.begin(v, iter);
-          prog.update(v, ctx);
-          ++local_updates;
-          local_work += g.in_edges(v).size() + g.out_neighbors(v).size();
-          did_work = true;
-          // One step per own update: commits whatever came due.
-          queue.advance(commit);
-        }
-        // A thread with no updates this round still ticks once, so an idle
-        // thread's buffered writes age by rounds instead of lingering.
-        if (!did_work && !queue.empty()) queue.advance(commit);
-      }
-
-      barrier.arrive_and_wait(sense);
-      if (tid == 0) {
-        frontier_sizes.push_back(frontier.size());
-        frontier_dense.push_back(frontier.dense() ? 1 : 0);
-        frontier.advance();
-        iterations = iter + 1;
-        // Every thread is parked at the barrier pair: no commit is in
-        // flight, so this read of the counter is exact.
-        stop = frontier.empty() &&
-               in_flight.load(std::memory_order_acquire) == 0;
-      }
-      barrier.arrive_and_wait(sense);
-    }
-    per_updates[tid] = local_updates;  // exclusive slot; read after join
-    per_work[tid] = local_work;
-    per_delay[tid] = queue.telemetry();
-  });
-
-  EngineResult result;
-  result.iterations = iterations;
-  for (const std::uint64_t u : per_updates) result.updates += u;
-  result.converged =
-      frontier.empty() && in_flight.load(std::memory_order_acquire) == 0;
-  result.seconds = timer.seconds();
-  result.frontier_sizes = std::move(frontier_sizes);
-  result.frontier_dense = std::move(frontier_dense);
-  result.per_thread_updates = std::move(per_updates);
-  result.per_thread_work = std::move(per_work);
-  for (const DelayTelemetry& t : per_delay) merge_telemetry(result, t);
-  const WorklistStats wl_stats = worklist.stats();
-  result.steals = wl_stats.steals;
-  result.steal_attempts = wl_stats.steal_attempts;
-  return result;
-}
-
-/// Barrier-free (pure-async sweep) delayed run. Quiescence needs BOTH the
-/// active set drained and every delay queue empty; a thread whose sweep
-/// claims nothing force-flushes its own queue, so buffered work always
-/// re-enters the active set in bounded time. The scheduler knob is ignored:
-/// the sweep shape is the one whose step clock maps cleanly onto per-thread
-/// delay queues (docs/DELAY.md).
-template <typename GraphT, VertexProgram Program, typename Policy>
-EngineResult run_delayed_async_impl(
-    const GraphT& g, Program& prog,
-    EdgeDataArray<typename Program::EdgeData>& edges, Policy policy,
-    const EngineOptions& opts, const std::vector<VertexId>& seeds) {
-  Timer timer;
-  ndg::detail::AsyncActiveSet active(g.num_vertices());
-  for (const VertexId v : seeds) active.schedule(v);
-
-  const std::size_t nt = std::max<std::size_t>(1, opts.num_threads);
-  std::vector<ndg::detail::AsyncWorkerTotals> totals(nt);
-  std::vector<DelayTelemetry> per_delay(nt);
-  std::atomic<std::uint64_t> in_flight{0};
-  const std::uint64_t update_cap =
-      static_cast<std::uint64_t>(opts.max_iterations) *
-      std::max<std::uint64_t>(1, g.num_vertices());
-  std::atomic<std::uint64_t> global_updates{0};
-  std::atomic<bool> capped{false};
-
-  run_team(nt, [&](std::size_t tid) {
-    ThreadDelayQueue queue(opts.delay, tid);
-    DelayedContext<typename Program::EdgeData, Policy,
-                   ndg::detail::AsyncSweepView, GraphT>
-        ctx(g, edges, policy, ndg::detail::AsyncSweepView(active), queue,
-            in_flight);
-    const auto commit = ctx.commit();
-    ndg::detail::AsyncWorkerTotals& t = totals[tid];
-    const VertexId n = g.num_vertices();
-    const VertexId start =
-        static_cast<VertexId>(static_block(n, nt, tid).begin);
-
-    // Exit only at global quiescence of BOTH trackers (read in this order:
-    // the commit callable schedules before decrementing, so a stale pair
-    // cannot hide a handoff — see DelayedContext::commit).
-    while (!(active.quiescent() &&
-             in_flight.load(std::memory_order_acquire) == 0) &&
-           !capped.load(std::memory_order_relaxed)) {
-      bool did_work = false;
-      for (VertexId i = 0; i < n; ++i) {
-        const VertexId v = static_cast<VertexId>((start + i) % n);
-        if (!active.maybe_active(v)) continue;
-        if (!active.claim(v)) continue;
-        if (!active.begin_update(v)) {
-          active.schedule(v);
-          active.finished();
-          continue;
-        }
-        ctx.begin(v, t.sweeps);
-        prog.update(v, ctx);
-        active.end_update(v);
-        active.finished();
-        ++t.updates;
-        t.work += g.in_edges(v).size() + g.out_neighbors(v).size();
-        did_work = true;
-        queue.advance(commit);  // one step per own update
-        if (t.updates % 4096 == 0 &&
-            global_updates.fetch_add(4096, std::memory_order_relaxed) + 4096 >
-                update_cap) {
-          capped.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      if (!did_work) queue.flush_all(commit);
-      ++t.sweeps;
-    }
-    // A capped run must not leak buffered writes into the telemetry's
-    // in-flight count forever; drain so the counter reflects reality.
-    queue.flush_all(commit);
-    per_delay[tid] = queue.telemetry();
-  });
-
-  EngineResult result;
-  result.converged = active.quiescent() && !capped.load() &&
-                     in_flight.load(std::memory_order_acquire) == 0;
-  result.seconds = timer.seconds();
-  std::uint64_t sweeps = 0;
-  for (const ndg::detail::AsyncWorkerTotals& t : totals) {
-    result.per_thread_updates.push_back(t.updates);
-    result.per_thread_work.push_back(t.work);
-    result.updates += t.updates;
-    sweeps += t.sweeps;
+  /// One step per own update: commits whatever came due.
+  void stepped() { queue.advance(ctx.commit()); }
+  /// A thread with no updates this round still ticks once, so an idle
+  /// thread's buffered writes age by rounds instead of lingering.
+  void idle() {
+    if (!queue.empty()) queue.advance(ctx.commit());
   }
-  result.iterations = sweeps / nt;  // mean sweeps per thread
-  for (const DelayTelemetry& t : per_delay) merge_telemetry(result, t);
-  return result;
-}
-
-template <typename GraphT, VertexProgram Program, typename Policy>
-EngineResult run_delayed_ne_sched(const GraphT& g, Program& prog,
-                                  EdgeDataArray<typename Program::EdgeData>& edges,
-                                  Policy policy, const EngineOptions& opts,
-                                  std::vector<VertexId> seeds) {
-  return ndg::detail::dispatch_scheduler(opts.scheduler, [&](auto wl_tag) {
-    using WL = typename decltype(wl_tag)::type;
-    return run_delayed_ne_impl<GraphT, Program, Policy, WL>(
-        g, prog, edges, policy, opts, std::move(seeds));
-  });
-}
-
-template <bool kAsync, typename GraphT, VertexProgram Program>
-EngineResult run_delayed_mode(const GraphT& g, Program& prog,
-                              EdgeDataArray<typename Program::EdgeData>& edges,
-                              const EngineOptions& opts,
-                              std::vector<VertexId> seeds) {
-  const auto with_policy = [&](auto policy) {
-    if constexpr (kAsync) {
-      return run_delayed_async_impl(g, prog, edges, policy, opts, seeds);
-    } else {
-      return run_delayed_ne_sched(g, prog, edges, policy, opts,
-                                  std::move(seeds));
-    }
-  };
-  switch (opts.mode) {
-    case AtomicityMode::kLocked: {
-      EdgeLockTable locks(edges.size());
-      return with_policy(LockedAccess{&locks});
-    }
-    case AtomicityMode::kAligned: return with_policy(AlignedAccess{});
-    case AtomicityMode::kRelaxed: return with_policy(RelaxedAtomicAccess{});
-    case AtomicityMode::kSeqCst: return with_policy(SeqCstAccess{});
+  /// Force-commits this thread's queue. The commits re-schedule the written
+  /// endpoints, so the scheduler has work again.
+  void drain() { queue.flush_all(ctx.commit()); }
+  void finish(Shared& shared, std::size_t tid) {
+    shared.per_thread[tid] = queue.telemetry();
   }
-  return {};
-}
+
+  ThreadDelayQueue queue;
+  DelayedContext<ED, Policy, Sched, GraphT> ctx;
+};
+
+/// Hooks of the delayed NE engine: delayed writes, no direction choice, no
+/// hub splitting (header comment).
+struct DelayedHooks {
+  static constexpr bool kChooseDirection = false;
+  static constexpr bool kSplitHubs = false;
+  template <EdgePod ED, typename Policy, typename GraphT>
+  using Writes = DelayedWrites<ED, Policy, FrontierSched, GraphT>;
+};
 
 /// Warm-start delayed NE run (counterpart of run_nondeterministic_from).
 /// d = 0 IS run_nondeterministic_from.
@@ -401,7 +250,8 @@ EngineResult run_delayed_from(const GraphT& g, Program& prog,
   if (!opts.delay.enabled()) {
     return run_nondeterministic_from(g, prog, edges, std::move(seeds), opts);
   }
-  return run_delayed_mode<false>(g, prog, edges, opts, std::move(seeds));
+  return ndg::detail::run_barriered_mode<DelayedHooks>(g, prog, edges, opts,
+                                                      std::move(seeds));
 }
 
 /// Full delayed NE run from the program's own initial frontier.
@@ -409,11 +259,7 @@ template <VertexProgram Program>
 EngineResult run_delayed(const Graph& g, Program& prog,
                          EdgeDataArray<typename Program::EdgeData>& edges,
                          const EngineOptions& opts) {
-  if (!opts.delay.enabled()) {
-    return run_nondeterministic(g, prog, edges, opts);
-  }
-  return run_delayed_mode<false>(g, prog, edges, opts,
-                                 prog.initial_frontier(g));
+  return run_delayed_from(g, prog, edges, prog.initial_frontier(g), opts);
 }
 
 /// Warm-start delayed pure-async run (counterpart of run_pure_async_from).
@@ -425,7 +271,14 @@ EngineResult run_delayed_async_from(
   if (!opts.delay.enabled()) {
     return run_pure_async_from(g, prog, edges, std::move(seeds), opts);
   }
-  return run_delayed_mode<true>(g, prog, edges, opts, std::move(seeds));
+  // The scheduler knob is ignored: the sweep shape is the one whose step
+  // clock maps cleanly onto per-thread delay queues (docs/DELAY.md).
+  return with_access_policy(opts.mode, edges.size(), [&](auto policy) {
+    using Writes = DelayedWrites<typename Program::EdgeData, decltype(policy),
+                                 ndg::detail::AsyncSweepView, GraphT>;
+    return ndg::detail::run_async_sweep<Writes>(g, prog, edges, policy, opts,
+                                                seeds);
+  });
 }
 
 /// Full delayed pure-async run from the program's own initial frontier.
@@ -433,11 +286,8 @@ template <VertexProgram Program>
 EngineResult run_delayed_async(const Graph& g, Program& prog,
                                EdgeDataArray<typename Program::EdgeData>& edges,
                                const EngineOptions& opts) {
-  if (!opts.delay.enabled()) {
-    return run_pure_async(g, prog, edges, opts);
-  }
-  return run_delayed_mode<true>(g, prog, edges, opts,
-                                prog.initial_frontier(g));
+  return run_delayed_async_from(g, prog, edges, prog.initial_frontier(g),
+                                opts);
 }
 
 }  // namespace ndg::delay

@@ -1,6 +1,6 @@
 #pragma once
-// Direction-optimizing NE: the push/pull dispatch layer over the
-// nondeterministic engine's iteration protocol (nondeterministic.hpp).
+// Direction-optimizing NE: the barriered NE skeleton (run_barriered in
+// engine/nondeterministic.hpp) with its direction hook on.
 //
 // Per iteration the engine runs every chosen update in ONE direction:
 //   pull — prog.update(v, ctx), the classic own-in gather shape;
@@ -9,10 +9,11 @@
 // the same |S_n| * divisor > V test that flips the frontier representation
 // (frontier.hpp) flips the direction — dense iterations pull (sequential
 // in-edge scans, plain conditional writes), sparse iterations push (touch
-// only the frontier's out-edges; docs/PERF.md §5). The decision is computed
-// by every thread from the SAME quiescent frontier state between barriers,
-// so all threads agree without extra synchronization, and thread 0 records
-// it as per-iteration telemetry (EngineResult::direction_push).
+// only the frontier's out-edges; docs/PERF.md §5). The decision
+// (detail::direction_wants_push) is computed by every thread from the SAME
+// quiescent frontier state between barriers, so all threads agree without
+// extra synchronization, and thread 0 records it as per-iteration telemetry
+// (EngineResult::direction_push).
 //
 // Deliberately NOT consulted here: the static direction verdicts. The engine
 // layer sits below analysis (src/CMakeLists.txt layering), so eligibility
@@ -23,188 +24,20 @@
 // pull-gather decomposition and does not compose with direction switching,
 // so this engine runs whole-vertex updates only.
 
-#include <atomic>
-
-#include "atomics/access_policy.hpp"
-#include "engine/options.hpp"
-#include "engine/scheduler_dispatch.hpp"
-#include "engine/update_context.hpp"
-#include "engine/vertex_program.hpp"
-#include "util/barrier.hpp"
-#include "util/thread_team.hpp"
-#include "util/timer.hpp"
+#include "engine/nondeterministic.hpp"
 
 namespace ndg {
 
-/// A program exposing the push entry point the direction engine dispatches
-/// to. The analysis-layer twin (PushCapableProgram, which also demands
-/// kPushManifest) is what gates eligibility; this engine-layer concept only
-/// cares that the call compiles.
-template <typename Program, typename Ctx>
-concept PushUpdatable = requires(Program p, VertexId v, Ctx& c) {
-  p.update_push(v, c);
-};
-
 namespace detail {
 
-/// The per-iteration decision, identical on every thread: pull-pinned modes
-/// and push-incapable programs never push; kAuto pushes exactly on sparse
-/// iterations.
-[[nodiscard]] inline bool direction_wants_push(DirectionMode mode, bool dense,
-                                               bool can_push) {
-  switch (mode) {
-    case DirectionMode::kPull:
-      return false;
-    case DirectionMode::kPush:
-      return can_push;
-    case DirectionMode::kAuto:
-      return can_push && !dense;
-  }
-  return false;
-}
-
-template <typename GraphT, VertexProgram Program, typename Policy, Worklist WL>
-EngineResult run_direction_impl(
-    const GraphT& g, Program& prog,
-    EdgeDataArray<typename Program::EdgeData>& edges, Policy policy,
-    const EngineOptions& opts, std::vector<VertexId> seeds) {
-  using Ctx = UpdateContext<typename Program::EdgeData, Policy, GraphT>;
-  constexpr bool kHasPush = PushUpdatable<Program, Ctx>;
-
-  Timer timer;
-  Frontier frontier(g.num_vertices(), opts.frontier_policy,
-                    opts.frontier_dense_divisor);
-  frontier.seed(std::move(seeds));
-
-  const std::size_t nt = std::max<std::size_t>(1, opts.num_threads);
-  SpinBarrier barrier(nt);
-  WL worklist = make_worklist<WL>(nt, opts);
-  std::vector<std::uint64_t> per_updates(nt, 0);
-  std::vector<std::uint64_t> per_work(nt, 0);
-  std::size_t iterations = 0;  // written by thread 0 between barriers only
-  std::vector<std::uint64_t> frontier_sizes;
-  std::vector<std::uint8_t> frontier_dense;
-  std::vector<std::uint8_t> direction_push;
-
-  run_team(nt, [&](std::size_t tid) {
-    bool sense = false;
-    Ctx ctx(g, edges, policy, frontier);
-    std::uint64_t local_updates = 0;
-    std::uint64_t local_work = 0;
-    for (std::size_t iter = 0;; ++iter) {
-      // All threads observe the same frontier state here: thread 0 mutated it
-      // strictly between the two barriers of the previous round.
-      if (frontier.empty() || iter >= opts.max_iterations) break;
-
-      // The direction decision reads only quiescent frontier state, so every
-      // thread derives the same bit without communicating.
-      const bool use_push =
-          direction_wants_push(opts.direction, frontier.dense(), kHasPush);
-
-      if (frontier.dense()) {
-        const auto [wb, we] = static_block(frontier.num_words(), nt, tid);
-        frontier.for_each_in_words(wb, we, [&](std::size_t v) {
-          worklist.push(tid, static_cast<VertexId>(v),
-                        scheduling_priority(prog, static_cast<VertexId>(v)));
-        });
-      } else {
-        const auto& cur = frontier.current();
-        const auto [begin, end] = static_block(cur.size(), nt, tid);
-        for (std::size_t i = begin; i < end; ++i) {
-          worklist.push(tid, cur[i], scheduling_priority(prog, cur[i]));
-        }
-      }
-      worklist.publish(tid);
-      if constexpr (WL::kShared) {
-        barrier.arrive_and_wait(sense);
-      }
-
-      VertexId v;
-      while (worklist.try_pop(tid, v)) {
-        ctx.begin(v, iter);
-        if constexpr (kHasPush) {
-          if (use_push) {
-            prog.update_push(v, ctx);
-          } else {
-            prog.update(v, ctx);
-          }
-        } else {
-          prog.update(v, ctx);
-        }
-        ++local_updates;
-        local_work += g.in_edges(v).size() + g.out_neighbors(v).size();
-      }
-
-      barrier.arrive_and_wait(sense);
-      if (tid == 0) {
-        frontier_sizes.push_back(frontier.size());
-        frontier_dense.push_back(frontier.dense() ? 1 : 0);
-        direction_push.push_back(use_push ? 1 : 0);
-        frontier.advance();
-        iterations = iter + 1;
-      }
-      barrier.arrive_and_wait(sense);
-    }
-    per_updates[tid] = local_updates;  // exclusive slot; read after join
-    per_work[tid] = local_work;
-  });
-
-  EngineResult result;
-  result.iterations = iterations;
-  std::uint64_t total_updates = 0;
-  for (const std::uint64_t u : per_updates) total_updates += u;
-  result.updates = total_updates;
-  result.converged = frontier.empty();
-  result.seconds = timer.seconds();
-  result.frontier_sizes = std::move(frontier_sizes);
-  result.frontier_dense = std::move(frontier_dense);
-  for (std::size_t i = 1; i < direction_push.size(); ++i) {
-    if (direction_push[i] != direction_push[i - 1]) ++result.direction_switches;
-  }
-  result.direction_push = std::move(direction_push);
-  result.per_thread_updates = std::move(per_updates);
-  result.per_thread_work = std::move(per_work);
-  const WorklistStats wl_stats = worklist.stats();
-  result.steals = wl_stats.steals;
-  result.steal_attempts = wl_stats.steal_attempts;
-  return result;
-}
-
-template <typename GraphT, VertexProgram Program, typename Policy>
-EngineResult run_direction_sched(
-    const GraphT& g, Program& prog,
-    EdgeDataArray<typename Program::EdgeData>& edges, Policy policy,
-    const EngineOptions& opts, std::vector<VertexId> seeds) {
-  return dispatch_scheduler(opts.scheduler, [&](auto wl_tag) {
-    using WL = typename decltype(wl_tag)::type;
-    return run_direction_impl<GraphT, Program, Policy, WL>(
-        g, prog, edges, policy, opts, std::move(seeds));
-  });
-}
-
-template <typename GraphT, VertexProgram Program>
-EngineResult run_direction_mode(const GraphT& g, Program& prog,
-                                EdgeDataArray<typename Program::EdgeData>& edges,
-                                const EngineOptions& opts,
-                                std::vector<VertexId> seeds) {
-  switch (opts.mode) {
-    case AtomicityMode::kLocked: {
-      EdgeLockTable locks(edges.size());
-      return run_direction_sched(g, prog, edges, LockedAccess{&locks}, opts,
-                                 std::move(seeds));
-    }
-    case AtomicityMode::kAligned:
-      return run_direction_sched(g, prog, edges, AlignedAccess{}, opts,
-                                 std::move(seeds));
-    case AtomicityMode::kRelaxed:
-      return run_direction_sched(g, prog, edges, RelaxedAtomicAccess{}, opts,
-                                 std::move(seeds));
-    case AtomicityMode::kSeqCst:
-      return run_direction_sched(g, prog, edges, SeqCstAccess{}, opts,
-                                 std::move(seeds));
-  }
-  return {};
-}
+/// Hooks of the direction-optimizing engine: immediate writes, the
+/// per-iteration direction choice, no hub splitting.
+struct DirectionHooks {
+  static constexpr bool kChooseDirection = true;
+  static constexpr bool kSplitHubs = false;
+  template <EdgePod ED, typename Policy, typename GraphT>
+  using Writes = ImmediateWrites<UpdateContext<ED, Policy, GraphT>>;
+};
 
 }  // namespace detail
 
@@ -216,8 +49,8 @@ EngineResult run_direction_optimizing(
     const Graph& g, Program& prog,
     EdgeDataArray<typename Program::EdgeData>& edges,
     const EngineOptions& opts) {
-  return detail::run_direction_mode(g, prog, edges, opts,
-                                    prog.initial_frontier(g));
+  return detail::run_barriered_mode<detail::DirectionHooks>(
+      g, prog, edges, opts, prog.initial_frontier(g));
 }
 
 }  // namespace ndg

@@ -47,14 +47,19 @@ struct EngineOptions {
   /// per-iteration auto from the hybrid frontier's density signal. Callers
   /// are expected to gate the request through the static direction verdicts
   /// first (analysis/directional_manifest.hpp resolve_direction); the engine
-  /// itself pins to pull when the program has no push entry point. Ignored
-  /// by every other engine.
+  /// itself pins to pull when the program has no push entry point. Read only
+  /// where the barriered NE skeleton runs with its direction hook on
+  /// (run_direction_optimizing); plain NE, delayed NE and the other engines
+  /// always pull, whatever the value.
   DirectionMode direction = DirectionMode::kAuto;
   /// Bounded-staleness injection (docs/DELAY.md): with delay.steps > 0 the
   /// delayed entry points (src/delay/delayed_engine.hpp) buffer every write
   /// in a per-thread queue for a controlled number of update steps before it
   /// becomes visible — the paper's propagation delay d as a runtime knob.
-  /// Ignored by the undelayed engines; steps == 0 means baseline behaviour.
+  /// Read only by those entry points, which set the write-sink hook of the
+  /// NE skeleton or of the async sweep to delay::DelayedWrites; calling
+  /// run_nondeterministic or run_pure_async directly ignores it. steps == 0
+  /// means baseline behaviour.
   DelaySpec delay{};
 };
 

@@ -24,7 +24,6 @@
 // equals some fixed sequential schedule independent of thread count.
 
 #include <atomic>
-#include <optional>
 
 #include "atomics/access_policy.hpp"
 #include "engine/options.hpp"
@@ -64,67 +63,87 @@ PswResult run_psw_deterministic(const Graph& g, Program& prog,
   PswResult result;
   result.per_thread_updates.assign(nt, 0);
 
-  // Per-iteration scratch: the active vertices of one interval, split into
-  // the conflict-free batch and the dependent (sequential) remainder.
+  // Scratch of the interval in progress: its active vertices split into the
+  // conflict-free batch and the dependent (sequential) remainder.
   std::vector<VertexId> par_batch;
   std::vector<VertexId> seq_batch;
+  // Written by thread 0 between barriers only.
+  const std::vector<VertexId>* cur = nullptr;  // S_n of the iteration
+  std::size_t pos = 0;                         // next unread slot of *cur
+  std::size_t interval = plan.num_intervals();
+  bool batch_ready = false;
 
-  // One persistent team for every parallel batch of the run: the batches sit
-  // inside the interval × iteration loops, where re-spawning std::threads per
-  // batch dwarfed the batch itself.
-  std::optional<ThreadTeam> team;
-  if (nt > 1) team.emplace(nt);
-
-  // Worker contexts for the parallel batch; plain access is safe there.
   using Ctx = UpdateContext<typename Program::EdgeData, AlignedAccess>;
-  Ctx seq_ctx(g, edges, AlignedAccess{}, frontier);
+  const auto run_sequential = [&](Ctx& ctx, const std::vector<VertexId>& vs) {
+    for (const VertexId v : vs) {
+      ctx.begin(v, result.iterations);
+      prog.update(v, ctx);
+    }
+    result.per_thread_updates[0] += vs.size();
+  };
 
-  while (!frontier.empty() && result.iterations < opts.max_iterations) {
-    const auto& cur = frontier.current();
-    result.frontier_sizes.push_back(cur.size());
-
-    std::size_t pos = 0;
-    for (std::size_t interval = 0; interval < plan.num_intervals(); ++interval) {
+  // Thread 0, between barriers: finishes the interval whose parallel batch
+  // the team just ran, then runs everything sequential up to the next batch
+  // worth a team phase. Returns false when the run is over.
+  const auto next_parallel_batch = [&](Ctx& ctx) {
+    if (batch_ready) {
+      run_sequential(ctx, seq_batch);
+      result.sequential_updates += seq_batch.size();
+      ++interval;
+    }
+    for (;;) {
+      while (interval == plan.num_intervals()) {
+        // Iteration boundary (the sliding-window pass is complete).
+        if (cur != nullptr) {
+          result.updates += cur->size();
+          frontier.advance();
+          ++result.iterations;
+        }
+        if (frontier.empty() || result.iterations >= opts.max_iterations) {
+          return false;
+        }
+        cur = &frontier.current();
+        result.frontier_sizes.push_back(cur->size());
+        pos = 0;
+        interval = 0;
+      }
       const VertexId hi = plan.boundaries[interval + 1];
       par_batch.clear();
       seq_batch.clear();
-      while (pos < cur.size() && cur[pos] < hi) {
-        const VertexId v = cur[pos++];
+      while (pos < cur->size() && (*cur)[pos] < hi) {
+        const VertexId v = (*cur)[pos++];
         (plan.has_intra_neighbor[v] ? seq_batch : par_batch).push_back(v);
       }
-
-      if (par_batch.size() > 1 && nt > 1) {
-        parallel_for_blocks(
-            par_batch.size(), *team,
-            [&](std::size_t begin, std::size_t end, std::size_t tid) {
-              Ctx ctx(g, edges, AlignedAccess{}, frontier);
-              for (std::size_t i = begin; i < end; ++i) {
-                ctx.begin(par_batch[i], result.iterations);
-                prog.update(par_batch[i], ctx);
-              }
-              result.per_thread_updates[tid] += end - begin;  // exclusive slot
-            });
-      } else {
-        for (const VertexId v : par_batch) {
-          seq_ctx.begin(v, result.iterations);
-          prog.update(v, seq_ctx);
-        }
-        result.per_thread_updates[0] += par_batch.size();
-      }
       result.parallel_updates += par_batch.size();
-
-      for (const VertexId v : seq_batch) {
-        seq_ctx.begin(v, result.iterations);
-        prog.update(v, seq_ctx);
-      }
-      result.per_thread_updates[0] += seq_batch.size();
+      if (par_batch.size() > 1 && nt > 1) return true;
+      run_sequential(ctx, par_batch);
+      run_sequential(ctx, seq_batch);
       result.sequential_updates += seq_batch.size();
+      ++interval;
     }
+  };
 
-    result.updates += cur.size();
-    frontier.advance();
-    ++result.iterations;
-  }
+  // One team for the whole run. Each parallel batch is one phase between two
+  // barriers: thread 0 partitions the interval (and runs what must stay
+  // sequential), then every thread runs its static block of the batch. The
+  // batch is conflict-free, so plain access is safe there.
+  SpinBarrier barrier(nt);
+  run_team(nt, [&](std::size_t tid) {
+    bool sense = false;
+    Ctx ctx(g, edges, AlignedAccess{}, frontier);
+    for (;;) {
+      if (tid == 0) batch_ready = next_parallel_batch(ctx);
+      barrier.arrive_and_wait(sense);
+      if (!batch_ready) break;
+      const auto [begin, end] = static_block(par_batch.size(), nt, tid);
+      for (std::size_t i = begin; i < end; ++i) {
+        ctx.begin(par_batch[i], result.iterations);
+        prog.update(par_batch[i], ctx);
+      }
+      result.per_thread_updates[tid] += end - begin;  // exclusive slot
+      barrier.arrive_and_wait(sense);
+    }
+  });
 
   result.converged = frontier.empty();
   result.seconds = timer.seconds();

@@ -46,6 +46,7 @@
 #include "engine/observer.hpp"
 #include "engine/options.hpp"
 #include "engine/scheduler_dispatch.hpp"
+#include "engine/update_context.hpp"
 #include "engine/vertex_program.hpp"
 #include "perf/hub_gather.hpp"
 #include "perf/prefetch.hpp"
@@ -210,8 +211,14 @@ struct AsyncWorkerTotals {
 
 /// The original sweep engine (SchedulerKind::kStaticBlock): threads
 /// continuously sweep the shared active set, starting at their static block
-/// so they spread out instead of contending on the same low labels.
-template <typename GraphT, VertexProgram Program, typename Policy>
+/// so they spread out instead of contending on the same low labels. Writes is
+/// the write sink (engine/update_context.hpp): ImmediateWrites for pure
+/// async, delay::DelayedWrites for the delayed pure-async run. A buffering
+/// sink also keeps the run going while writes are in flight, and a thread
+/// whose sweep claims nothing drains its own buffer, so buffered work always
+/// re-enters the active set in bounded time.
+template <typename Writes, typename GraphT, VertexProgram Program,
+          typename Policy>
 EngineResult run_async_sweep(const GraphT& g, Program& prog,
                              EdgeDataArray<typename Program::EdgeData>& edges,
                              Policy policy, const EngineOptions& opts,
@@ -222,6 +229,7 @@ EngineResult run_async_sweep(const GraphT& g, Program& prog,
 
   const std::size_t nt = std::max<std::size_t>(1, opts.num_threads);
   std::vector<AsyncWorkerTotals> totals(nt);
+  typename Writes::Shared shared(nt, edges.size());
   // Update cap standing in for max_iterations: |V| * max_iterations matches
   // the barriered engines' worst-case work budget.
   const std::uint64_t update_cap =
@@ -231,14 +239,19 @@ EngineResult run_async_sweep(const GraphT& g, Program& prog,
   std::atomic<bool> capped{false};
 
   run_team(nt, [&](std::size_t tid) {
-    AsyncContext<typename Program::EdgeData, Policy, AsyncSweepView, GraphT>
-        ctx(g, edges, policy, AsyncSweepView(active));
+    Writes writes(shared, opts, tid, g, edges, policy, AsyncSweepView(active));
+    auto& ctx = writes.ctx;
     AsyncWorkerTotals& t = totals[tid];  // exclusive slot; read after join
     const VertexId n = g.num_vertices();
     const VertexId start =
         static_cast<VertexId>(static_block(n, nt, tid).begin);
 
-    while (!active.quiescent() && !capped.load(std::memory_order_relaxed)) {
+    // Exit only at global quiescence of the active set and the sink (read
+    // in this order: a commit schedules before it stops counting as
+    // pending, so a stale pair cannot hide a hand-off).
+    while (!(active.quiescent() && !shared.pending()) &&
+           !capped.load(std::memory_order_relaxed)) {
+      bool did_work = false;
       for (VertexId i = 0; i < n; ++i) {
         const VertexId v = static_cast<VertexId>((start + i) % n);
         if (!active.maybe_active(v)) continue;
@@ -256,6 +269,8 @@ EngineResult run_async_sweep(const GraphT& g, Program& prog,
         active.finished();
         ++t.updates;
         t.work += g.in_edges(v).size() + g.out_neighbors(v).size();
+        did_work = true;
+        writes.stepped();
         if (t.updates % 4096 == 0 &&
             global_updates.fetch_add(4096, std::memory_order_relaxed) + 4096 >
                 update_cap) {
@@ -263,12 +278,18 @@ EngineResult run_async_sweep(const GraphT& g, Program& prog,
           break;
         }
       }
+      if (!did_work) writes.drain();
       ++t.sweeps;
     }
+    // A capped run must not leave writes buffered; drain so the sink's
+    // counters reflect reality.
+    writes.drain();
+    writes.finish(shared, tid);
   });
 
   EngineResult result;
-  result.converged = active.quiescent() && !capped.load();
+  result.converged =
+      active.quiescent() && !capped.load() && !shared.pending();
   result.seconds = timer.seconds();
   result.per_thread_updates.reserve(nt);
   result.per_thread_work.reserve(nt);
@@ -280,6 +301,7 @@ EngineResult run_async_sweep(const GraphT& g, Program& prog,
     sweeps += t.sweeps;
   }
   result.iterations = sweeps / nt;  // mean sweeps per thread
+  shared.report(result);
   return result;
 }
 
@@ -470,42 +492,12 @@ EngineResult run_pure_async_impl(const GraphT& g, Program& prog,
     case SchedulerKind::kStaticBlock:
       break;
   }
-  return run_async_sweep(g, prog, edges, policy, opts, seeds);
-}
-
-template <typename GraphT, VertexProgram Program>
-EngineResult run_pure_async_mode(const GraphT& g, Program& prog,
-                                 EdgeDataArray<typename Program::EdgeData>& edges,
-                                 const EngineOptions& opts,
-                                 const std::vector<VertexId>& seeds) {
-  switch (opts.mode) {
-    case AtomicityMode::kLocked: {
-      EdgeLockTable locks(edges.size());
-      return run_pure_async_impl(g, prog, edges, LockedAccess{&locks}, opts,
-                                 seeds);
-    }
-    case AtomicityMode::kAligned:
-      return run_pure_async_impl(g, prog, edges, AlignedAccess{}, opts, seeds);
-    case AtomicityMode::kRelaxed:
-      return run_pure_async_impl(g, prog, edges, RelaxedAtomicAccess{}, opts,
-                                 seeds);
-    case AtomicityMode::kSeqCst:
-      return run_pure_async_impl(g, prog, edges, SeqCstAccess{}, opts, seeds);
-  }
-  return {};
+  using Writes = ImmediateWrites<AsyncContext<typename Program::EdgeData,
+                                             Policy, AsyncSweepView, GraphT>>;
+  return run_async_sweep<Writes>(g, prog, edges, policy, opts, seeds);
 }
 
 }  // namespace detail
-
-/// Pure asynchronous execution with the atomicity method from opts.mode and
-/// the schedule from opts.scheduler.
-template <VertexProgram Program>
-EngineResult run_pure_async(const Graph& g, Program& prog,
-                            EdgeDataArray<typename Program::EdgeData>& edges,
-                            const EngineOptions& opts) {
-  return detail::run_pure_async_mode(g, prog, edges, opts,
-                                     prog.initial_frontier(g));
-}
 
 /// Warm-start entry point: pure-async execution on any graph view from a
 /// caller-supplied activation set over the CURRENT edge state (edges is NOT
@@ -517,7 +509,18 @@ EngineResult run_pure_async_from(const GraphT& g, Program& prog,
                                  EdgeDataArray<typename Program::EdgeData>& edges,
                                  std::vector<VertexId> seeds,
                                  const EngineOptions& opts) {
-  return detail::run_pure_async_mode(g, prog, edges, opts, seeds);
+  return with_access_policy(opts.mode, edges.size(), [&](auto policy) {
+    return detail::run_pure_async_impl(g, prog, edges, policy, opts, seeds);
+  });
+}
+
+/// Pure asynchronous execution with the atomicity method from opts.mode and
+/// the schedule from opts.scheduler.
+template <VertexProgram Program>
+EngineResult run_pure_async(const Graph& g, Program& prog,
+                            EdgeDataArray<typename Program::EdgeData>& edges,
+                            const EngineOptions& opts) {
+  return run_pure_async_from(g, prog, edges, prog.initial_frontier(g), opts);
 }
 
 }  // namespace ndg

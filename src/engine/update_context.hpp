@@ -4,11 +4,13 @@
 // thread; begin() repoints it at the next vertex.
 
 #include <span>
+#include <utility>
 
 #include "atomics/access_policy.hpp"
 #include "atomics/edge_data.hpp"
 #include "engine/frontier.hpp"
 #include "engine/observer.hpp"
+#include "engine/options.hpp"
 #include "graph/graph.hpp"
 #include "perf/prefetch.hpp"
 
@@ -121,6 +123,39 @@ class UpdateContext {
   AccessObserver* observer_;
   VertexId v_ = kInvalidVertex;
   std::uint32_t iter_ = 0;
+};
+
+/// Write sink of the engine loops (run_barriered in engine/nondeterministic.hpp
+/// and run_async_sweep in engine/pure_async.hpp): owns one worker's update
+/// context and decides when the writes it issues become visible. This one is
+/// the paper's model — every write is visible at once, so every hook is a
+/// no-op. delay::DelayedWrites is the other sink.
+template <typename Ctx>
+struct ImmediateWrites {
+  /// True when writes can outlive the scheduler state, so a round with an
+  /// empty frontier may still have writes to drain.
+  static constexpr bool kBuffers = false;
+
+  /// State shared by the whole team.
+  struct Shared {
+    Shared(std::size_t /*num_threads*/, std::size_t /*num_edges*/) {}
+    /// Writes issued but not yet visible, on any thread.
+    [[nodiscard]] bool pending() const { return false; }
+    void report(EngineResult& /*result*/) const {}
+  };
+
+  /// The trailing arguments construct the context.
+  template <typename... CtxArgs>
+  ImmediateWrites(Shared& /*shared*/, const EngineOptions& /*opts*/,
+                  std::size_t /*tid*/, CtxArgs&&... ctx_args)
+      : ctx(std::forward<CtxArgs>(ctx_args)...) {}
+
+  void stepped() {}  // after each update
+  void idle() {}     // once per round on a thread that ran no update
+  void drain() {}    // commit every buffered write of this thread now
+  void finish(Shared& /*shared*/, std::size_t /*tid*/) {}
+
+  Ctx ctx;
 };
 
 }  // namespace ndg

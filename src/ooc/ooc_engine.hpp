@@ -11,209 +11,9 @@
 // property that made GraphChi's out-of-core design transparent to algorithm
 // authors, and which the tests assert. Intervals with no scheduled updates
 // are skipped without touching disk (selective scheduling).
+//
+// The engine is the OOC-NE engine (ooc_nondet.hpp) run by one thread, whose
+// static block is then the whole interval in ascending label order, so
+// run_ooc_deterministic lives there too.
 
-#include <vector>
-
-#include "engine/frontier.hpp"
-#include "engine/options.hpp"
-#include "engine/vertex_program.hpp"
-#include "ooc/shard_store.hpp"
-#include "util/timer.hpp"
-
-namespace ndg {
-
-struct OocResult : EngineResult {
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t intervals_processed = 0;
-  std::uint64_t intervals_skipped = 0;  // selective scheduling wins
-};
-
-namespace detail {
-
-/// Resolves canonical edge ids to the loaded buffers of the current interval.
-class OocEdgeView {
- public:
-  OocEdgeView(const Graph& g, const ShardPlan& plan, std::size_t interval,
-              std::vector<std::uint64_t>& memory_shard,
-              std::vector<std::vector<std::uint64_t>>& windows)
-      : g_(&g), plan_(&plan), interval_(interval),
-        memory_shard_(&memory_shard), windows_(&windows) {}
-
-  [[nodiscard]] std::uint64_t& slot(EdgeId e) const {
-    const std::size_t target_shard =
-        plan_->intervals.interval_of(g_->edge_target(e));
-    if (target_shard == interval_) {
-      // In-edge of this interval: memory shard.
-      return (*memory_shard_)[plan_->position_in_shard(interval_, e)];
-    }
-    // Out-edge of this interval: sliding window of the target's shard.
-    const auto [begin, end] = plan_->windows[target_shard][interval_];
-    const std::size_t pos = plan_->position_in_shard(target_shard, e);
-    NDG_ASSERT_MSG(pos >= begin && pos < end,
-                   "edge outside this interval's window — update scope "
-                   "violation");
-    return (*windows_)[target_shard][pos - begin];
-  }
-
- private:
-  const Graph* g_;
-  const ShardPlan* plan_;
-  std::size_t interval_;
-  std::vector<std::uint64_t>* memory_shard_;
-  std::vector<std::vector<std::uint64_t>>* windows_;
-};
-
-template <EdgePod ED>
-class OocContext {
- public:
-  OocContext(const Graph& g, const OocEdgeView& view, Frontier& frontier)
-      : g_(&g), view_(&view), frontier_(&frontier) {}
-
-  void begin(VertexId v, std::size_t iteration) {
-    v_ = v;
-    iter_ = iteration;
-  }
-
-  [[nodiscard]] VertexId vertex() const { return v_; }
-  [[nodiscard]] std::size_t iteration() const { return iter_; }
-  [[nodiscard]] const Graph& graph() const { return *g_; }
-
-  [[nodiscard]] std::span<const InEdge> in_edges() const {
-    return g_->in_edges(v_);
-  }
-  [[nodiscard]] std::span<const VertexId> out_neighbors() const {
-    return g_->out_neighbors(v_);
-  }
-  [[nodiscard]] EdgeId out_edge_id(std::size_t k) const {
-    return g_->out_edges_begin(v_) + k;
-  }
-
-  [[nodiscard]] ED read(EdgeId e) {
-    return detail::from_slot<ED>(view_->slot(e));
-  }
-
-  void write(EdgeId e, VertexId other_endpoint, ED value) {
-    view_->slot(e) = detail::to_slot(value);
-    frontier_->schedule(other_endpoint);
-  }
-
-  void write_silent(EdgeId e, ED value) {
-    view_->slot(e) = detail::to_slot(value);
-  }
-
-  [[nodiscard]] ED exchange(EdgeId e, ED value) {
-    const ED old = read(e);
-    write_silent(e, value);
-    return old;
-  }
-
-  template <typename Fn>
-  void accumulate(EdgeId e, VertexId other_endpoint, Fn fn) {
-    write(e, other_endpoint, fn(read(e)));
-  }
-
-  void schedule(VertexId u) { frontier_->schedule(u); }
-
- private:
-  const Graph* g_;
-  const OocEdgeView* view_;
-  Frontier* frontier_;
-  VertexId v_ = kInvalidVertex;
-  std::size_t iter_ = 0;
-};
-
-}  // namespace detail
-
-template <VertexProgram Program>
-OocResult run_ooc_deterministic(const Graph& g, Program& prog,
-                                EdgeDataArray<typename Program::EdgeData>& edges,
-                                const ShardPlan& plan,
-                                const std::string& store_dir,
-                                std::size_t max_iterations = 100000) {
-  Timer timer;
-  const std::size_t shards = plan.num_shards();
-
-  // Preprocess: split the initialized edge data into shard files.
-  ShardStore store(store_dir, plan);
-  {
-    std::vector<std::uint64_t> initial(edges.size());
-    for (EdgeId e = 0; e < edges.size(); ++e) {
-      // Quiescent snapshot into the shard store (no update is running).
-      // ndg-lint: allow(raw-slots)
-      initial[e] = edges.slots()[e].load(std::memory_order_relaxed);
-    }
-    store.write_initial(initial);
-  }
-
-  Frontier frontier(g.num_vertices());
-  frontier.seed(prog.initial_frontier(g));
-
-  OocResult result;
-  std::vector<std::vector<std::uint64_t>> windows(shards);
-
-  while (!frontier.empty() && result.iterations < max_iterations) {
-    const auto& cur = frontier.current();
-    result.frontier_sizes.push_back(cur.size());
-
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < shards; ++i) {
-      const VertexId hi = plan.intervals.boundaries[i + 1];
-      const std::size_t first = pos;
-      while (pos < cur.size() && cur[pos] < hi) ++pos;
-      if (pos == first) {
-        ++result.intervals_skipped;  // nothing scheduled here: no I/O
-        continue;
-      }
-
-      // Load the memory shard and every sliding window.
-      std::vector<std::uint64_t> memory_shard = store.load_shard(i);
-      result.bytes_read += memory_shard.size() * sizeof(std::uint64_t);
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (s == i) continue;
-        const auto [wb, we] = plan.windows[s][i];
-        windows[s] = store.load_window(s, wb, we);
-        result.bytes_read += windows[s].size() * sizeof(std::uint64_t);
-      }
-
-      detail::OocEdgeView view(g, plan, i, memory_shard, windows);
-      detail::OocContext<typename Program::EdgeData> ctx(g, view, frontier);
-      for (std::size_t k = first; k < pos; ++k) {
-        ctx.begin(cur[k], result.iterations);
-        prog.update(cur[k], ctx);
-        ++result.updates;
-      }
-
-      // Write the dirty ranges back.
-      store.store_shard(i, memory_shard);
-      result.bytes_written += memory_shard.size() * sizeof(std::uint64_t);
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (s == i) continue;
-        const auto [wb, we] = plan.windows[s][i];
-        (void)we;
-        store.store_window(s, wb, windows[s]);
-        result.bytes_written += windows[s].size() * sizeof(std::uint64_t);
-      }
-      ++result.intervals_processed;
-    }
-
-    frontier.advance();
-    ++result.iterations;
-  }
-
-  // Gather the final edge state back into the caller's array.
-  {
-    std::vector<std::uint64_t> final_values(edges.size());
-    store.read_back(final_values);
-    for (EdgeId e = 0; e < edges.size(); ++e) {
-      // Quiescent write-back from the shard store.  ndg-lint: allow(raw-slots)
-      edges.slots()[e].store(final_values[e], std::memory_order_relaxed);
-    }
-  }
-
-  result.converged = frontier.empty();
-  result.seconds = timer.seconds();
-  return result;
-}
-
-}  // namespace ndg
+#include "ooc/ooc_nondet.hpp"  // run_ooc_deterministic

@@ -9,19 +9,67 @@
 //
 // The buffer accesses go through C++20 std::atomic_ref (or a per-edge lock,
 // or deliberate plain access for the "architecture support" method), mapped
-// from the same AtomicityMode enum as the in-memory engines.
+// from the same AtomicityMode enum as the in-memory engines. The
+// deterministic out-of-core engine (ooc_engine.hpp) is this engine at one
+// thread.
 
 #include <atomic>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "atomics/access_policy.hpp"
 #include "atomics/lock_table.hpp"
-#include "ooc/ooc_engine.hpp"
+#include "engine/frontier.hpp"
+#include "engine/options.hpp"
+#include "engine/vertex_program.hpp"
+#include "ooc/shard_store.hpp"
+#include "util/barrier.hpp"
 #include "util/thread_team.hpp"
+#include "util/timer.hpp"
 
 namespace ndg {
 
+struct OocResult : EngineResult {
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t intervals_processed = 0;
+  std::uint64_t intervals_skipped = 0;  // selective scheduling wins
+};
+
 namespace detail {
+
+/// Resolves canonical edge ids to the loaded buffers of the current interval.
+class OocEdgeView {
+ public:
+  OocEdgeView(const Graph& g, const ShardPlan& plan, std::size_t interval,
+              std::vector<std::uint64_t>& memory_shard,
+              std::vector<std::vector<std::uint64_t>>& windows)
+      : g_(&g), plan_(&plan), interval_(interval),
+        memory_shard_(&memory_shard), windows_(&windows) {}
+
+  [[nodiscard]] std::uint64_t& slot(EdgeId e) const {
+    const std::size_t target_shard =
+        plan_->intervals.interval_of(g_->edge_target(e));
+    if (target_shard == interval_) {
+      // In-edge of this interval: memory shard.
+      return (*memory_shard_)[plan_->position_in_shard(interval_, e)];
+    }
+    // Out-edge of this interval: sliding window of the target's shard.
+    const auto [begin, end] = plan_->windows[target_shard][interval_];
+    const std::size_t pos = plan_->position_in_shard(target_shard, e);
+    NDG_ASSERT_MSG(pos >= begin && pos < end,
+                   "edge outside this interval's window — update scope "
+                   "violation");
+    return (*windows_)[target_shard][pos - begin];
+  }
+
+ private:
+  const Graph* g_;
+  const ShardPlan* plan_;
+  std::size_t interval_;
+  std::vector<std::uint64_t>* memory_shard_;
+  std::vector<std::vector<std::uint64_t>>* windows_;
+};
 
 /// Access policies over raw uint64 buffer slots (the loaded windows).
 struct OocAlignedAccess {
@@ -162,81 +210,93 @@ OocResult run_ooc_nondet_impl(const Graph& g, Program& prog,
 
   OocResult result;
   result.per_thread_updates.assign(nt, 0);
+  // Buffers of the interval in progress, and its scheduled vertices.
+  std::vector<std::uint64_t> memory_shard;
   std::vector<std::vector<std::uint64_t>> windows(shards);
-  std::atomic<std::uint64_t> updates{0};
+  std::vector<VertexId> interval_vertices;
+  // Written by thread 0 between barriers only.
+  std::size_t interval = shards;
+  bool started = false;
+  bool loaded = false;
 
-  // One persistent team for all per-interval dispatches of the run (the
-  // dispatch sits inside the interval × iteration loops).
-  std::optional<ThreadTeam> team;
-  if (nt > 1) team.emplace(nt);
-
-  std::vector<VertexId> interval_vertices;  // reused per interval
-  while (!frontier.empty() && result.iterations < opts.max_iterations) {
-    result.frontier_sizes.push_back(frontier.size());
-    result.frontier_dense.push_back(frontier.dense() ? 1 : 0);
-
-    for (std::size_t i = 0; i < shards; ++i) {
-      // Interval query against the hybrid frontier: ascending vertex list for
-      // [lo, hi) in either representation (dense PageRank-style frontiers
-      // skip the full-list materialization the old sparse scan paid).
-      const VertexId lo = plan.intervals.boundaries[i];
-      const VertexId hi = plan.intervals.boundaries[i + 1];
-      interval_vertices.clear();
-      frontier.collect_range(lo, hi, interval_vertices);
-      if (interval_vertices.empty()) {
-        ++result.intervals_skipped;
-        continue;
-      }
-
-      std::vector<std::uint64_t> memory_shard = store.load_shard(i);
-      result.bytes_read += memory_shard.size() * sizeof(std::uint64_t);
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (s == i) continue;
-        const auto [wb, we] = plan.windows[s][i];
-        windows[s] = store.load_window(s, wb, we);
-        result.bytes_read += windows[s].size() * sizeof(std::uint64_t);
-      }
-
-      const OocEdgeView view(g, plan, i, memory_shard, windows);
-      // The paper's NE: the interval's scheduled updates race across all
-      // threads (static blocks, small-label-first within each thread).
-      const std::size_t count = interval_vertices.size();
-      const auto run_block = [&](std::size_t b, std::size_t e,
-                                 std::size_t tid) {
-        OocNeContext<typename Program::EdgeData, Access> ctx(g, view, frontier,
-                                                             access);
-        std::uint64_t local = 0;
-        for (std::size_t k = b; k < e; ++k) {
-          ctx.begin(interval_vertices[k], result.iterations);
-          prog.update(interval_vertices[k], ctx);
-          ++local;
-        }
-        result.per_thread_updates[tid] += local;  // exclusive slot
-        updates.fetch_add(local, std::memory_order_relaxed);
-      };
-      if (nt > 1) {
-        parallel_for_blocks(count, *team, run_block);
-      } else {
-        run_block(0, count, 0);
-      }
-
-      store.store_shard(i, memory_shard);
+  // Thread 0, between barriers: stores the shard and windows the team just
+  // ran on, then loads the next interval with scheduled updates. Returns
+  // false when the run is over.
+  const auto next_interval = [&] {
+    if (loaded) {
+      store.store_shard(interval, memory_shard);
       result.bytes_written += memory_shard.size() * sizeof(std::uint64_t);
       for (std::size_t s = 0; s < shards; ++s) {
-        if (s == i) continue;
-        const auto [wb, we] = plan.windows[s][i];
-        (void)we;
-        store.store_window(s, wb, windows[s]);
+        if (s == interval) continue;
+        store.store_window(s, plan.windows[s][interval].first, windows[s]);
         result.bytes_written += windows[s].size() * sizeof(std::uint64_t);
       }
       ++result.intervals_processed;
+      ++interval;
     }
+    for (;;) {
+      while (interval == shards) {
+        // Iteration boundary: every interval of the pass has run.
+        if (started) {
+          frontier.advance();
+          ++result.iterations;
+        }
+        if (frontier.empty() || result.iterations >= opts.max_iterations) {
+          return false;
+        }
+        started = true;
+        result.frontier_sizes.push_back(frontier.size());
+        result.frontier_dense.push_back(frontier.dense() ? 1 : 0);
+        interval = 0;
+      }
+      // Interval query against the hybrid frontier: ascending vertex list
+      // for [lo, hi) in either representation (dense PageRank-style
+      // frontiers skip the full-list materialization a sparse scan pays).
+      interval_vertices.clear();
+      frontier.collect_range(plan.intervals.boundaries[interval],
+                             plan.intervals.boundaries[interval + 1],
+                             interval_vertices);
+      if (!interval_vertices.empty()) break;
+      ++result.intervals_skipped;
+      ++interval;
+    }
+    memory_shard = store.load_shard(interval);
+    result.bytes_read += memory_shard.size() * sizeof(std::uint64_t);
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (s == interval) continue;
+      const auto [wb, we] = plan.windows[s][interval];
+      windows[s] = store.load_window(s, wb, we);
+      result.bytes_read += windows[s].size() * sizeof(std::uint64_t);
+    }
+    return true;
+  };
 
-    frontier.advance();
-    ++result.iterations;
-  }
+  // One team for the whole run, one phase per loaded interval: thread 0
+  // stores the previous shard and loads the next, then the interval's
+  // scheduled updates race across all threads — the paper's NE (static
+  // blocks, small-label-first within each thread).
+  SpinBarrier barrier(nt);
+  run_team(nt, [&](std::size_t tid) {
+    bool sense = false;
+    for (;;) {
+      if (tid == 0) loaded = next_interval();
+      barrier.arrive_and_wait(sense);
+      if (!loaded) break;
+      const OocEdgeView view(g, plan, interval, memory_shard, windows);
+      OocNeContext<typename Program::EdgeData, Access> ctx(g, view, frontier,
+                                                           access);
+      const auto [begin, end] =
+          static_block(interval_vertices.size(), nt, tid);
+      for (std::size_t k = begin; k < end; ++k) {
+        ctx.begin(interval_vertices[k], result.iterations);
+        prog.update(interval_vertices[k], ctx);
+      }
+      result.per_thread_updates[tid] += end - begin;  // exclusive slot
+      barrier.arrive_and_wait(sense);
+    }
+  });
 
-  result.updates = updates.load();
+  for (const std::uint64_t u : result.per_thread_updates) result.updates += u;
   {
     std::vector<std::uint64_t> final_values(edges.size());
     store.read_back(final_values);
@@ -277,6 +337,22 @@ OocResult run_ooc_nondeterministic(
                                          detail::OocSeqCstAccess{}, opts);
   }
   return {};
+}
+
+/// The deterministic out-of-core engine (ooc_engine.hpp): the run above at
+/// one thread, which races with no one, so plain word access is exact.
+template <VertexProgram Program>
+OocResult run_ooc_deterministic(const Graph& g, Program& prog,
+                                EdgeDataArray<typename Program::EdgeData>& edges,
+                                const ShardPlan& plan,
+                                const std::string& store_dir,
+                                std::size_t max_iterations = 100000) {
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.max_iterations = max_iterations;
+  opts.frontier_policy = FrontierPolicy::kSparse;
+  return detail::run_ooc_nondet_impl(g, prog, edges, plan, store_dir,
+                                     detail::OocAlignedAccess{}, opts);
 }
 
 }  // namespace ndg

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 
 #include "atomics/access_policy.hpp"
 #include "atomics/edge_data.hpp"
@@ -189,6 +190,37 @@ TEST(Policies, SeqCstRoundTrip) { round_trip(SeqCstAccess{}); }
 TEST(Policies, LockedRoundTrip) {
   EdgeLockTable locks(3);
   round_trip(LockedAccess{&locks});
+}
+
+/// with_access_policy is the one place the runtime mode becomes a policy
+/// type. Every policy reaches the same fixed points on eligible programs, so
+/// a swapped mapping (kAligned -> RelaxedAtomicAccess, say) would pass every
+/// engine test; only this one sees it.
+template <typename Expected>
+void expect_policy_for(AtomicityMode mode) {
+  constexpr std::size_t kEdges = 37;
+  int calls = 0;
+  const int result = with_access_policy(mode, kEdges, [&](auto policy) {
+    ++calls;
+    EXPECT_TRUE((std::is_same_v<decltype(policy), Expected>))
+        << to_string(mode);
+    if constexpr (std::is_same_v<decltype(policy), LockedAccess>) {
+      EXPECT_NE(policy.locks, nullptr);
+      if (policy.locks != nullptr) {
+        EXPECT_EQ(policy.locks->size(), kEdges);
+      }
+    }
+    return 7;
+  });
+  EXPECT_EQ(calls, 1) << to_string(mode);
+  EXPECT_EQ(result, 7) << to_string(mode);
+}
+
+TEST(Policies, WithAccessPolicyMapsEveryModeOnce) {
+  expect_policy_for<LockedAccess>(AtomicityMode::kLocked);
+  expect_policy_for<AlignedAccess>(AtomicityMode::kAligned);
+  expect_policy_for<RelaxedAtomicAccess>(AtomicityMode::kRelaxed);
+  expect_policy_for<SeqCstAccess>(AtomicityMode::kSeqCst);
 }
 
 /// Lemma 1/2 at the machine level: concurrent single-word writes never tear —

@@ -210,6 +210,81 @@ TEST(DelayedEngine, TelemetryHistogramAccounts) {
             static_cast<double>(opts.delay.max_steps()));
 }
 
+// --- The skeleton's write-sink hook (engine/nondeterministic.hpp
+// run_barriered) under shared worklists, and its per-iteration record ---
+
+TEST(DelayedEngine, SharedWorklistsExactWithoutHubSplits) {
+  const Graph g = delay_graph();
+  const std::vector<std::uint32_t> expected_wcc = ref::wcc(g);
+  const std::vector<float> expected_sssp = ref::sssp(g, 0, sssp_weights(g, 21));
+  for (const SchedulerKind kind :
+       {SchedulerKind::kStealing, SchedulerKind::kBucket}) {
+    for (const std::size_t d : {1u, 5u}) {
+      EngineOptions opts;
+      opts.num_threads = 4;
+      opts.scheduler = kind;
+      opts.delay = fixed(d);
+      // delay_graph()'s hubs exceed 4 in-edges, so SSSP (a gather program)
+      // would split them under plain NE with these settings.
+      opts.hub_threshold = 4;
+      opts.hub_chunk_edges = 2;
+
+      WccProgram wcc;
+      EdgeDataArray<WccProgram::EdgeData> wcc_edges(g.num_edges());
+      wcc.init(g, wcc_edges);
+      const EngineResult rw = delay::run_delayed(g, wcc, wcc_edges, opts);
+      EXPECT_TRUE(rw.converged) << to_string(kind) << " d=" << d;
+      EXPECT_EQ(wcc.labels(), expected_wcc) << to_string(kind) << " d=" << d;
+      EXPECT_GT(rw.delayed_writes, 0u);
+      EXPECT_LE(rw.max_staleness, opts.delay.max_steps());
+
+      SsspProgram sssp(0, 21);
+      EdgeDataArray<SsspProgram::EdgeData> sssp_edges(g.num_edges());
+      sssp.init(g, sssp_edges);
+      const EngineResult rs = delay::run_delayed(g, sssp, sssp_edges, opts);
+      EXPECT_TRUE(rs.converged) << to_string(kind) << " d=" << d;
+      EXPECT_EQ(sssp.distances(), expected_sssp)
+          << to_string(kind) << " d=" << d;
+      EXPECT_EQ(rs.hub_splits, 0u);
+      EXPECT_EQ(rs.hub_chunks, 0u);
+
+      // Plain NE (d = 0 dispatches to it) on the same Graph still splits.
+      EngineOptions plain = opts;
+      plain.delay = fixed(0);
+      SsspProgram base(0, 21);
+      EdgeDataArray<SsspProgram::EdgeData> base_edges(g.num_edges());
+      base.init(g, base_edges);
+      const EngineResult rp = delay::run_delayed(g, base, base_edges, plain);
+      EXPECT_EQ(base.distances(), expected_sssp);
+      EXPECT_GT(rp.hub_splits, 0u);
+    }
+  }
+}
+
+// One thread makes the delayed run deterministic, so its per-iteration
+// record can be pinned. d = 16 leaves a drain round (the 0 in the sizes) and
+// a spread of observed staleness. The values were recorded before the three
+// NE loops were folded into run_barriered.
+TEST(DelayedEngine, SingleThreadRecordIsPinned) {
+  const Graph g = delay_graph();
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.delay = fixed(16);
+  SsspProgram prog(0, 21);
+  EdgeDataArray<SsspProgram::EdgeData> edges(g.num_edges());
+  prog.init(g, edges);
+  const EngineResult r = delay::run_delayed(g, prog, edges, opts);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 7u);
+  EXPECT_EQ(r.updates, 487u);
+  EXPECT_EQ(r.delayed_writes, 1654u);
+  EXPECT_EQ(r.frontier_sizes,
+            (std::vector<std::uint64_t>{13, 0, 124, 152, 139, 58, 1}));
+  EXPECT_EQ(r.staleness_hist,
+            (std::vector<std::uint64_t>{0, 11, 4, 16, 5, 25, 76, 44, 36, 5,
+                                        15, 38, 1, 0, 0, 0, 1378}));
+}
+
 // --- Cross-validation against the logical simulator ---
 
 TEST(DelayedEngine, SimulatorConvergenceParityAcrossRegistry) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "algorithms/bfs.hpp"
@@ -221,6 +222,104 @@ TEST(DirectionEngine, MergedManifestCoversTheMixedSchedule) {
   EXPECT_TRUE(validate_manifest(g, bfs, 1000).ok());
   MixedScheduleProgram<WccProgram> wcc;
   EXPECT_TRUE(validate_manifest(g, wcc, 1000).ok());
+}
+
+// --- The skeleton's direction hook (engine/nondeterministic.hpp
+// run_barriered) under shared worklists, and its per-iteration record ---
+
+EngineOptions shared_opts(SchedulerKind kind, DirectionMode dir) {
+  EngineOptions opts = make_opts(4, dir);
+  opts.scheduler = kind;
+  // test_graph() has in-degrees far above 8, so a gather program splits hubs
+  // under plain NE with these settings.
+  opts.hub_threshold = 8;
+  opts.hub_chunk_edges = 4;
+  return opts;
+}
+
+std::vector<float> sssp_weights(const Graph& g, std::uint64_t seed) {
+  std::vector<float> w(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    w[e] = SsspProgram::edge_weight(seed, e);
+  }
+  return w;
+}
+
+TEST(DirectionEngine, SharedWorklistsExactWithoutHubSplits) {
+  const Graph g = test_graph();
+  const std::vector<std::uint32_t> expected_bfs = ref::bfs(g, 0);
+  const std::vector<std::uint32_t> expected_wcc = ref::wcc(g);
+  const std::vector<float> expected_sssp = ref::sssp(g, 0, sssp_weights(g, 42));
+  for (const SchedulerKind kind :
+       {SchedulerKind::kStealing, SchedulerKind::kBucket}) {
+    for (const DirectionMode dir : {DirectionMode::kAuto, DirectionMode::kPush}) {
+      const EngineOptions opts = shared_opts(kind, dir);
+      const std::string label =
+          std::string(to_string(kind)) + "/" + to_string(dir);
+
+      BfsProgram bfs(0);
+      const EngineResult rb = run_dir(g, opts, bfs);
+      EXPECT_TRUE(rb.converged) << label;
+      EXPECT_EQ(bfs.levels(), expected_bfs) << label;
+      ASSERT_EQ(rb.direction_push.size(), rb.iterations) << label;
+      if (dir == DirectionMode::kPush) {
+        EXPECT_EQ(rb.push_iterations(), rb.iterations) << label;
+      }
+
+      WccProgram wcc;
+      const EngineResult rw = run_dir(g, opts, wcc);
+      EXPECT_TRUE(rw.converged) << label;
+      EXPECT_EQ(wcc.labels(), expected_wcc) << label;
+      ASSERT_EQ(rw.direction_push.size(), rw.iterations) << label;
+
+      // SSSP declares the gather decomposition, so only the hook keeps the
+      // direction engine from splitting its hubs.
+      SsspProgram sssp(0, 42);
+      const EngineResult rs = run_dir(g, opts, sssp);
+      EXPECT_TRUE(rs.converged) << label;
+      EXPECT_EQ(sssp.distances(), expected_sssp) << label;
+      EXPECT_EQ(rs.hub_splits, 0u) << label;
+      EXPECT_EQ(rs.hub_chunks, 0u) << label;
+    }
+  }
+
+  // Plain NE on the same Graph, program and options still splits.
+  SsspProgram sssp(0, 42);
+  EdgeDataArray<SsspProgram::EdgeData> edges(g.num_edges());
+  sssp.init(g, edges);
+  const EngineResult r = run_nondeterministic(
+      g, sssp, edges, shared_opts(SchedulerKind::kStealing, DirectionMode::kAuto));
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(sssp.distances(), expected_sssp);
+  EXPECT_GT(r.hub_splits, 0u);
+  EXPECT_TRUE(r.direction_push.empty());
+}
+
+// One thread makes the run deterministic, so the per-iteration record can be
+// pinned. The values were recorded before the three NE loops were folded
+// into run_barriered.
+TEST(DirectionEngine, SingleThreadRecordIsPinned) {
+  const Graph g = test_graph();
+  const std::vector<std::uint64_t> kSizes = {5, 100, 172, 90, 2};
+
+  BfsProgram dir_prog(0);
+  const EngineResult dir =
+      run_dir(g, make_opts(1, DirectionMode::kAuto), dir_prog);
+  EXPECT_EQ(dir.frontier_sizes, kSizes);
+  EXPECT_EQ(dir.direction_push, (std::vector<std::uint8_t>{1, 0, 0, 0, 1}));
+  EXPECT_EQ(dir.direction_switches, 2u);
+  EXPECT_EQ(dir.updates, 369u);
+
+  // Plain NE ignores opts.direction: same rounds, no direction record.
+  BfsProgram plain_prog(0);
+  EdgeDataArray<BfsProgram::EdgeData> edges(g.num_edges());
+  plain_prog.init(g, edges);
+  const EngineResult plain = run_nondeterministic(
+      g, plain_prog, edges, make_opts(1, DirectionMode::kPush));
+  EXPECT_EQ(plain.frontier_sizes, kSizes);
+  EXPECT_TRUE(plain.direction_push.empty());
+  EXPECT_EQ(plain.direction_switches, 0u);
+  EXPECT_EQ(plain.updates, 369u);
 }
 
 }  // namespace

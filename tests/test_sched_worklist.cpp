@@ -216,18 +216,5 @@ TEST(BucketWorklist, ExactlyOnceUnderContention) {
   EXPECT_EQ(s.pops, s.pushes);
 }
 
-TEST(ThreadTeam, ReusableAcrossRunsWithStableThreadIds) {
-  constexpr std::size_t kThreads = 3;
-  ThreadTeam team(kThreads);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::atomic<int>> hits(kThreads);
-    team.run([&](std::size_t tid) {
-      EXPECT_EQ(current_thread_id(), tid);
-      hits[tid].fetch_add(1);
-    });
-    for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(hits[t].load(), 1);
-  }
-}
-
 }  // namespace
 }  // namespace ndg

@@ -189,15 +189,6 @@ TEST(StaticBlock, BalancedWithinOne) {
   EXPECT_LE(mx - mn, 1u);
 }
 
-TEST(ParallelForBlocks, CoversRangeOnce) {
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for_blocks(kN, 4, [&](std::size_t b, std::size_t e, std::size_t) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
 TEST(Cli, ParsesFlagsAndDefaults) {
   const char* argv[] = {"prog", "--threads=8", "--eps=0.01", "--verbose",
                         "--name=web"};
