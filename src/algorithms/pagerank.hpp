@@ -95,7 +95,8 @@ class PageRankProgram {
     if (m.kind == dyn::MutationKind::kDeleteEdge) seeds.push_back(m.dst);
   }
 
-  /// Live (mid-recompute) vertex read for ndg_serve's --live-queries mode:
+  /// Live (mid-recompute) vertex read for the serving coordinator's
+  /// --live-queries mode:
   /// recompute the damped recurrence from the in-edge mass currently parked
   /// on the wire — exactly the gather an engine thread would perform, each
   /// edge read individually atomic (Lemma 1). Never touches ranks_ (plain

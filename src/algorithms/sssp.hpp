@@ -147,7 +147,8 @@ class SsspProgram {
     seeds.push_back(m.dst);
   }
 
-  /// Live (mid-recompute) vertex read for ndg_serve's --live-queries mode:
+  /// Live (mid-recompute) vertex read for the serving coordinator's
+  /// --live-queries mode:
   /// v's last PUBLISHED tentative distance rides on its out-edges (scatter
   /// writes dist there), and fresher candidates arrive on its in-edges — so
   /// the min over individually-atomic edge reads is a value some serial

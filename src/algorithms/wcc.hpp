@@ -93,7 +93,8 @@ class WccProgram {
     }
   }
 
-  /// Live (mid-recompute) vertex read for ndg_serve's --live-queries mode:
+  /// Live (mid-recompute) vertex read for the serving coordinator's
+  /// --live-queries mode:
   /// min over v's own id and every incident edge label, each read
   /// individually atomic (Lemma 1). Never touches labels_ (plain state the
   /// engine threads write); labels_[v] starts at v and the scatter pushes

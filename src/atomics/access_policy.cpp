@@ -1,5 +1,8 @@
 #include "atomics/access_policy.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace ndg {
 
 const char* to_string(AtomicityMode mode) {
@@ -14,6 +17,16 @@ const char* to_string(AtomicityMode mode) {
       return "seq_cst";
   }
   return "?";
+}
+
+AtomicityMode parse_atomicity_mode(std::string_view name) {
+  for (const AtomicityMode m : {AtomicityMode::kLocked, AtomicityMode::kAligned,
+                                AtomicityMode::kRelaxed,
+                                AtomicityMode::kSeqCst}) {
+    if (name == to_string(m)) return m;
+  }
+  throw std::invalid_argument("unknown --mode: " + std::string(name) +
+                              " (expected locked|aligned|relaxed|seq_cst)");
 }
 
 }  // namespace ndg

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "atomics/edge_data.hpp"
 #include "atomics/lock_table.hpp"
@@ -38,6 +39,10 @@ enum class AtomicityMode {
 };
 
 [[nodiscard]] const char* to_string(AtomicityMode mode);
+
+/// Inverse of to_string; throws std::invalid_argument on any other spelling
+/// (a typo must not silently run relaxed).
+[[nodiscard]] AtomicityMode parse_atomicity_mode(std::string_view name);
 
 // Beyond single reads/writes, each policy also provides two read-modify-write
 // primitives, used by push-mode algorithms (the paper's §VII future work):

@@ -18,8 +18,8 @@
 // then, see phase() — live_value() may be called from another thread. It
 // reconstructs one vertex value purely from individually-atomic edge-slot
 // reads routed through the configured access policy, the same Lemma 1
-// license the engines' own reads rely on. ndg_serve's --live-queries mode is
-// the consumer: queries answered mid-recompute, labeled "quiescent":false.
+// license the engines' own reads rely on. The serving coordinator's
+// --live-queries mode (tier/coordinator.hpp) is the consumer: queries answered mid-recompute, labeled "quiescent":false.
 
 #include <algorithm>
 #include <atomic>
@@ -50,7 +50,7 @@ enum class DynEngine {
 }
 
 /// Where apply_epoch currently is, published for concurrent observers
-/// (ndg_serve's event loop). The distinction that matters to a live reader:
+/// (the serving coordinator's event loop). The distinction that matters to a live reader:
 /// kRunning means the graph view and the edge-slot ARRAY are structurally
 /// frozen (only slot CONTENTS race, through atomic/aligned accesses), so
 /// individual edge reads are licensed; kMutating means adjacency overlays
@@ -78,7 +78,8 @@ template <EdgePod T>
   return RelaxedAtomicAccess{}.read(a, e);
 }
 
-/// Per-epoch outcome (ndg_serve's `recompute` reply and the dyn benches).
+/// Per-epoch outcome (the coordinator's `recompute` reply and the dyn
+/// benches).
 struct EpochResult {
   std::uint64_t epoch = 0;
   bool warm = false;
@@ -115,8 +116,8 @@ class IncrementalEngine {
   /// Applies one sealed batch and brings the result back to a fixed point.
   /// `auto_compact=false` skips the post-run compaction so a caller that
   /// interleaves live reads can run compact_now() itself at a point it
-  /// KNOWS is quiescent (ndg_serve's event loop does this after taking the
-  /// epoch result off its worker thread). `applied_out` (optional) receives
+  /// KNOWS is quiescent (the coordinator's event loop does this after taking
+  /// the epoch result off its worker thread). `applied_out` (optional) receives
   /// the validated records in batch order — the tier coordinator ships these
   /// to its replicas (docs/TIER.md).
   EpochResult apply_epoch(const MutationBatch& batch, bool auto_compact = true,

@@ -1,13 +1,13 @@
 #pragma once
 // MutationLog — the append-only front door of the streaming subsystem.
 //
-// Producers (ingest threads, the ndg_serve command loop) append mutations
+// Producers (ingest threads, the serving coordinator's loop) append mutations
 // concurrently; the epoch owner calls seal() to stamp everything accumulated
 // since the last seal with the next epoch number and take it out as one
 // MutationBatch. The log itself never validates — validation is DynGraph's
 // job at apply time, when the adjacency state needed to judge a mutation
 // actually exists. A bounded history of sealed batches is kept for replay
-// and diagnostics (ndg_serve's `stats` op reports log totals from here).
+// and diagnostics (the coordinator's `stats` op reports log totals from here).
 
 #include <cstdint>
 #include <deque>
@@ -34,7 +34,7 @@ class MutationLog {
   /// Seals the open tail into a batch stamped with the next epoch and
   /// returns it; the tail restarts empty. Sealing an empty tail still
   /// advances the epoch (an epoch with no mutations is a valid quiescent
-  /// point for ndg_serve's recompute-only commands).
+  /// point for the coordinator's recompute-only commands).
   [[nodiscard]] MutationBatch seal();
 
   /// Mutations appended since the last seal().
@@ -51,7 +51,7 @@ class MutationLog {
   [[nodiscard]] std::vector<MutationBatch> history() const;
 
   /// Sealed batches currently retained (<= the history limit) — the lag
-  /// window observable from ndg_serve's `stats` reply without copying.
+  /// window observable from the coordinator's `stats` reply without copying.
   [[nodiscard]] std::size_t history_size() const;
   [[nodiscard]] std::size_t history_limit() const { return history_limit_; }
 

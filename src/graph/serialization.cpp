@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "graph/loader.hpp"
+
 namespace ndg {
 
 namespace {
@@ -132,6 +134,14 @@ Graph load_binary_graph(const std::string& path) {
   opts.remove_duplicate_edges = false;
   return Graph::build(static_cast<VertexId>(num_vertices), std::move(edges),
                       opts);
+}
+
+Graph load_any_graph(const std::string& path) {
+  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".ndgb") == 0) {
+    return load_binary_graph(path);
+  }
+  auto loaded = load_edge_list(path);
+  return Graph::build(loaded.num_vertices, std::move(loaded.edges));
 }
 
 }  // namespace ndg

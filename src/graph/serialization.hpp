@@ -23,4 +23,8 @@ void save_binary_graph(const std::string& path, const Graph& g);
 /// I/O failure, bad magic/version, or checksum mismatch.
 Graph load_binary_graph(const std::string& path);
 
+/// Loads `path` as a binary graph when it ends in .ndgb, otherwise as a SNAP
+/// edge list (load_edge_list).
+Graph load_any_graph(const std::string& path);
+
 }  // namespace ndg

@@ -1,5 +1,12 @@
 #pragma once
-// Coordinator of the replicated serving tier (docs/TIER.md).
+// Coordinator: the serving front-end (docs/TIER.md, docs/DYNAMIC.md).
+//
+// One front-end, two launchers. ndg_tier binds <dir>/coord.sock for clients
+// and <dir>/rep.sock for its forked replicas; ndg_serve binds --socket=PATH
+// with no replication socket, or speaks to one client over stdin/stdout.
+// Every transport goes through the same two client op dispatches
+// (dispatch_lines for newline JSON, dispatch_frames for bin1) and the same
+// epoch code (run_epoch, finish_epoch).
 //
 // The coordinator is the ONLY process that owns a MutationLog: every write
 // enters here, is sealed into an epoch batch on `recompute`, applied to the
@@ -13,7 +20,7 @@
 //
 // Flow control is a window of ONE record per replica: the next record is
 // sent only after the previous one is acked. A replica that stalls (or is
-// held with --chaos-lag-ms) therefore genuinely falls behind while the
+// held with --chaos=hold:<ms>) therefore genuinely falls behind while the
 // coordinator keeps sealing epochs; once its cursor drops past the bounded
 // history the coordinator stops trying to stream and re-seeds it with a full
 // canonical snapshot instead. If any topology mutation landed since the last
@@ -28,9 +35,24 @@
 // and each lagging peer streams from it behind its own cursor as POLLOUT
 // drains, keeping per-peer buffered output bounded.
 //
-// Threading: everything here runs on one poll() event loop; recompute is
-// inline (reads are the replicas' job — the coordinator answering a query
-// from its quiescent cache is a convenience and the --replicas=0 baseline).
+// Threading: one poll() loop plus one epoch worker. `recompute` seals the
+// batch on the loop and hands it to the worker, which runs apply_epoch
+// without compaction and wakes the loop through a self-pipe; the loop then
+// finishes the epoch (deferred compaction, values_ refresh, ReplicationLog
+// append, peer pump, the issuer's reply). While an epoch is in flight the
+// loop touches g_, inc_ and prog_ only through live_value in the kRunning
+// phase: `recompute`, `stats` and plain queries wait for the epoch to land,
+// and so does a peer that needs a snapshot or a compaction fence; mutate,
+// mbatch, hello, quit and parse errors are answered at once. values_,
+// replog_ and snap_cache_ are written on the loop thread only. Stdio has no
+// worker: each epoch runs inline through the same two functions.
+//
+// --live-queries: a query that arrives while the worker is inside its racy
+// engine run is answered FROM THE LIVE EDGE ARRAYS through the configured
+// access policy — licensed by Lemma 1 (individual edge reads are atomic) —
+// labeled "quiescent":false and stamped with the in-flight epoch. Quiescent
+// answers then carry "quiescent":true; without the flag neither label
+// appears and queries queue behind the epoch.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -39,11 +61,18 @@
 
 #include <cerrno>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,15 +86,22 @@
 
 namespace ndg::tier {
 
+/// Which client op stops the whole server. `quit` always closes its own
+/// connection, and on stdio that connection is the server.
+enum class StopOp {
+  kNone,      // ndg_serve: no client may stop the server
+  kShutdown,  // ndg_tier: the `shutdown` op and the kShutdown frame
+  kQuit,      // ndg_serve --allow-shutdown: `quit` and the kQuit frame
+};
+
+/// Launch settings of one coordinator (tools/serve_launch.hpp fills them).
 struct CoordinatorOptions {
-  std::string dir;            // run directory holding the tier's sockets
+  std::string client_socket;  // client endpoint; empty = stdin/stdout
+  std::string rep_socket;     // replication endpoint; empty = no replicas
   std::size_t history = 64;   // ReplicationLog bound (records retained)
-  /// When the coordinator's process owns the replica children (the ndg_tier
-  /// launcher layout), reap() also collects exited children with
-  /// waitpid(WNOHANG) so a crashed replica becomes a zombie-free, observable
-  /// event (stats: children_reaped, exit code: run() returns 1 on a crash)
-  /// instead of an undead fd the loop keeps pumping.
-  bool reap_children = false;
+  StopOp stop = StopOp::kShutdown;
+  bool live_queries = false;        // answer queries mid-run (labeled racy)
+  std::uint32_t epoch_hold_ms = 0;  // test aid: stretch the engine-run phase
 };
 
 inline std::string tier_error(const std::string& what) {
@@ -83,6 +119,16 @@ inline void tier_value_field(dyn::WireWriter& w, double value) {
   }
 }
 
+/// Compact wire token for the verdict (core's to_string is a prose line).
+inline const char* verdict_token(EligibilityVerdict v) {
+  switch (v) {
+    case EligibilityVerdict::kTheorem1: return "theorem-1";
+    case EligibilityVerdict::kTheorem2: return "theorem-2";
+    case EligibilityVerdict::kNotProven: return "not-proven";
+  }
+  return "unknown";
+}
+
 template <VertexProgram Program>
 class Coordinator {
  public:
@@ -94,75 +140,102 @@ class Coordinator {
         inc_(g_, prog_, std::move(gate), eopts, ekind),
         replog_(opts.history),
         opts_(std::move(opts)) {
+    inc_.set_run_hold_ms(opts_.epoch_hold_ms);
     inc_.recompute_cold();
     values_ = prog_.values();
-    client_listen_ = listen_unix(coord_sock(opts_.dir));
-    rep_listen_ = listen_unix(rep_sock(opts_.dir));
+    ready_ = ready_line();
+    if (!opts_.client_socket.empty()) {
+      client_listen_ = listen_unix(opts_.client_socket);
+    }
+    if (!opts_.rep_socket.empty()) rep_listen_ = listen_unix(opts_.rep_socket);
   }
 
   ~Coordinator() {
-    for (auto& [id, c] : clients_) c.close_fd();
+    if (worker_.joinable()) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_worker_ = true;
+      }
+      cv_.notify_one();
+      worker_.join();
+    }
+    for (auto& [id, c] : clients_) c.conn.close_fd();
     for (auto& [id, p] : peers_) p.conn.close_fd();
-    if (client_listen_ >= 0) ::close(client_listen_);
-    if (rep_listen_ >= 0) ::close(rep_listen_);
-    ::unlink(coord_sock(opts_.dir).c_str());
-    ::unlink(rep_sock(opts_.dir).c_str());
+    for (const int fd : {client_listen_, rep_listen_, wake_r_, wake_w_}) {
+      if (fd >= 0) ::close(fd);
+    }
+    if (client_listen_ >= 0) ::unlink(opts_.client_socket.c_str());
+    if (rep_listen_ >= 0) ::unlink(opts_.rep_socket.c_str());
   }
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
+  /// Serves until a sanctioned stop (or stdin EOF); 1 if a replica child
+  /// crashed along the way.
   int run() {
+    if (client_listen_ < 0) return run_stdio();
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) throw std::runtime_error("pipe() failed");
+    wake_r_ = pipe_fds[0];
+    wake_w_ = pipe_fds[1];
+    set_nonblocking(wake_r_);
+    set_nonblocking(wake_w_);
+    worker_ = std::thread([this] { worker_main(); });
+
     std::vector<pollfd> pfds;
-    std::vector<std::uint64_t> owner;  // parallel: client/peer id, 0 = none
-    std::vector<bool> is_peer;
-    while (!shutdown_ || !drained()) {
+    std::vector<std::pair<std::uint64_t, bool>> owner;  // (id, is peer)
+    while (!exit_ready()) {
       pfds.clear();
       owner.clear();
-      is_peer.clear();
+      const auto add = [&](int fd, short events, std::uint64_t id, bool peer) {
+        if (fd < 0 || events == 0) return;
+        pfds.push_back({fd, events, 0});
+        owner.emplace_back(id, peer);
+      };
+      add(wake_r_, POLLIN, 0, false);
       if (!shutdown_) {
-        pfds.push_back({client_listen_, POLLIN, 0});
-        owner.push_back(0);
-        is_peer.push_back(false);
-        pfds.push_back({rep_listen_, POLLIN, 0});
-        owner.push_back(0);
-        is_peer.push_back(false);
+        add(client_listen_, POLLIN, 0, false);
+        add(rep_listen_, POLLIN, 0, false);
       }
-      for (auto& [id, c] : clients_) add_conn(pfds, owner, is_peer, id, c,
-                                              /*peer=*/false);
-      for (auto& [id, p] : peers_) add_conn(pfds, owner, is_peer, id, p.conn,
-                                            /*peer=*/true);
-      if (pfds.empty()) break;  // shutdown with everything flushed
-      const int rc = ::poll(pfds.data(), pfds.size(), -1);
-      if (rc < 0) {
+      // After a stop nothing more is read; out buffers still drain.
+      const auto events = [this](const LineConn& c) {
+        const bool in = !c.eof && !c.draining && !shutdown_;
+        return static_cast<short>((in ? POLLIN : 0) |
+                                  (c.out_buf.empty() ? 0 : POLLOUT));
+      };
+      for (auto& [id, c] : clients_) add(c.conn.fd, events(c.conn), id, false);
+      for (auto& [id, p] : peers_) add(p.conn.fd, events(p.conn), id, true);
+      // A live query waiting for the kRunning phase has no fd to wake it.
+      const int timeout = (inflight_ && opts_.live_queries) ? 5 : -1;
+      if (::poll(pfds.data(), pfds.size(), timeout) < 0) {
         if (errno == EINTR) continue;
-        std::cerr << "ndg_tier: coordinator poll failed: "
-                  << std::strerror(errno) << "\n";
+        std::cerr << "coordinator: poll failed: " << std::strerror(errno)
+                  << "\n";
         return 1;
       }
       for (std::size_t i = 0; i < pfds.size(); ++i) {
         const short re = pfds[i].revents;
         if (re == 0) continue;
-        if (pfds[i].fd == client_listen_) {
-          accept_into(client_listen_, /*peer=*/false);
-        } else if (pfds[i].fd == rep_listen_) {
-          accept_into(rep_listen_, /*peer=*/true);
-        } else if (is_peer[i]) {
-          if (auto it = peers_.find(owner[i]); it != peers_.end()) {
+        const auto [id, peer] = owner[i];
+        if (pfds[i].fd == wake_r_) {
+          on_wake();
+        } else if (pfds[i].fd == client_listen_ || pfds[i].fd == rep_listen_) {
+          accept_into(pfds[i].fd, pfds[i].fd == rep_listen_);
+        } else if (peer) {
+          if (auto it = peers_.find(id); it != peers_.end()) {
             RepPeer& p = it->second;
-            if ((re & (POLLIN | POLLHUP | POLLERR)) != 0) {
-              p.conn.read_input();
-            }
+            if ((re & (POLLIN | POLLHUP | POLLERR)) != 0) p.conn.read_input();
             if ((re & POLLOUT) != 0) p.conn.flush();
             drain_peer(p);
           }
-        } else if (auto it = clients_.find(owner[i]); it != clients_.end()) {
-          LineConn& c = it->second;
+        } else if (auto it = clients_.find(id); it != clients_.end()) {
+          LineConn& c = it->second.conn;
           if ((re & (POLLIN | POLLHUP | POLLERR)) != 0) c.read_input();
           if ((re & POLLOUT) != 0) c.flush();
-          drain_client(c);
         }
       }
+      for (auto& [id, c] : clients_) dispatch(id, c);
       reap();
     }
     return children_crashed_ > 0 ? 1 : 0;
@@ -179,6 +252,14 @@ class Coordinator {
   }
 
  private:
+  static constexpr bool kLiveCapable =
+      dyn::IncrementalEngine<Program>::kLiveQueryCapable;
+
+  struct Client {
+    LineConn conn;
+    bool awaiting_epoch = false;  // this client's recompute is in flight
+  };
+
   /// One consistent snapshot: the canonical live edge list at the moment
   /// `header.seq` was the newest record. Shared (immutable) between every
   /// peer re-seeding from the same point; 12 bytes/edge instead of the
@@ -201,6 +282,14 @@ class Coordinator {
     std::size_t snap_pos = 0;                  // next edge to encode
   };
 
+  /// What the worker hands back: the epoch's result and its validated
+  /// records, or the exception apply_epoch threw.
+  struct Landed {
+    dyn::EpochResult result;
+    std::vector<dyn::AppliedMutation> shipped;
+    std::exception_ptr error;
+  };
+
   /// Per-peer bound on buffered, not-yet-flushed snapshot output: streaming
   /// pauses once out_buf reaches this and resumes as POLLOUT drains it.
   static constexpr std::size_t kSnapshotChunkBytes = 256 * 1024;
@@ -210,121 +299,241 @@ class Coordinator {
   /// buffered at once.
   static constexpr std::size_t kSnapEdgesPerChunk = 8192;
 
-  static void add_conn(std::vector<pollfd>& pfds,
-                       std::vector<std::uint64_t>& owner,
-                       std::vector<bool>& is_peer, std::uint64_t id,
-                       const LineConn& c, bool peer) {
-    short events = 0;
-    if (!c.eof && !c.draining) events |= POLLIN;
-    if (!c.out_buf.empty()) events |= POLLOUT;
-    if (events == 0 || c.fd < 0) return;
-    pfds.push_back({c.fd, events, 0});
-    owner.push_back(id);
-    is_peer.push_back(peer);
+  /// Stdio transport: one implicit JSON client, read with getline on this
+  /// thread (stdin and stdout keep their blocking mode) and answered through
+  /// the same dispatch; recompute runs inline.
+  int run_stdio() {
+    const std::uint64_t id = ++next_id_;
+    Client& c = clients_[id];
+    c.conn.fd = STDOUT_FILENO;
+    c.conn.queue_line(ready_);
+    c.conn.bytes_out = 0;  // stdio counts replies only, not the ready line
+    std::string line;
+    while (!c.conn.draining && !c.conn.broken &&
+           std::getline(std::cin, line)) {
+      c.conn.bytes_in += line.size() + 1;
+      c.conn.pending.push_back(std::move(line));
+      dispatch(id, c);
+    }
+    c.conn.fd = -1;  // stdout is not ours to close
+    return 0;
   }
+
+  // --- Epoch worker ---
+
+  void worker_main() {
+    for (;;) {
+      dyn::MutationBatch batch;
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [this] { return stop_worker_ || job_.has_value(); });
+        if (stop_worker_) return;
+        batch = std::move(*job_);
+        job_.reset();
+      }
+      Landed landed = run_epoch(batch);
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        done_ = std::move(landed);
+      }
+      // Self-pipe wakeup; a full pipe already guarantees a pending wake.
+      const char b = 1;
+      while (::write(wake_w_, &b, 1) < 0 && errno == EINTR) {
+      }
+    }
+  }
+
+  /// The epoch's racy part: the worker's only call (stdio calls it inline).
+  /// Compaction is deferred to finish_epoch so live readers never race a
+  /// CSR rebuild.
+  Landed run_epoch(const dyn::MutationBatch& batch) {
+    Landed l;
+    try {
+      l.result = inc_.apply_epoch(batch, /*auto_compact=*/false, &l.shipped);
+    } catch (...) {
+      l.error = std::current_exception();
+    }
+    return l;
+  }
+
+  void on_wake() {
+    char buf[64];
+    while (::read(wake_r_, buf, sizeof buf) > 0) {
+    }
+    std::optional<Landed> landed;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      landed.swap(done_);
+    }
+    if (landed) finish_epoch(std::move(*landed));
+  }
+
+  /// Seals the pending tail and runs it as the next epoch on behalf of `c`:
+  /// on the worker when there is one, otherwise inline.
+  void start_epoch(std::uint64_t id, Client& c) {
+    dyn::MutationBatch batch = log_.seal();
+    inflight_ = true;
+    inflight_client_ = id;
+    inflight_epoch_ = batch.epoch;
+    c.awaiting_epoch = true;
+    if (!worker_.joinable()) {
+      finish_epoch(run_epoch(batch));
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      job_ = std::move(batch);
+    }
+    cv_.notify_one();
+  }
+
+  /// Loop thread, worker idle: the deferred compaction, the quiescent
+  /// caches, the replication append and peer pump, then the issuer's reply.
+  void finish_epoch(Landed landed) {
+    if (landed.error) std::rethrow_exception(landed.error);
+    dyn::EpochResult& r = landed.result;
+    r.compacted = g_.should_compact();
+    if (r.compacted) inc_.compact_now();
+    values_ = prog_.values();
+    ready_ = ready_line();
+    replog_.append_batch(inflight_epoch_, std::move(landed.shipped),
+                         r.compacted);
+    snap_cache_.reset();  // graph/seq moved on; peers mid-stream keep theirs
+    inflight_ = false;
+    // The record goes out before the reply: replica replay, not the reply,
+    // is on the path to a visible write.
+    pump_all_peers();
+    if (auto it = clients_.find(inflight_client_); it != clients_.end()) {
+      Client& c = it->second;
+      c.awaiting_epoch = false;
+      const dyn::RecomputeReplyBin b = recompute_bin(r);
+      if (c.conn.proto == dyn::WireProto::kBin) {
+        c.conn.queue_frame(dyn::FrameType::kRecomputeReply,
+                           dyn::encode_recompute_reply(b));
+      } else {
+        c.conn.queue_line(recompute_json(b));
+      }
+    }
+  }
+
+  // --- Client op dispatch (every transport) ---
 
   void accept_into(int listen_fd, bool peer) {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        return;
+        return;  // EAGAIN or transient error: try again on the next POLLIN
       }
       set_nonblocking(fd);
       const std::uint64_t id = ++next_id_;
       if (peer) {
         peers_[id].conn.fd = fd;
       } else {
-        LineConn& c = clients_[id];
+        LineConn& c = clients_[id].conn;
         c.fd = fd;
-        c.queue_line(ready_line());
+        c.queue_line(ready_);
       }
     }
   }
 
+  /// Refreshed at every quiescent point, so a client accepted mid-epoch gets
+  /// the last landed state without the loop touching g_.
   [[nodiscard]] std::string ready_line() const {
     return dyn::WireWriter()
         .boolean("ok", true)
         .boolean("ready", true)
         .str("role", "coordinator")
         .str("algo", prog_.name())
+        .str("verdict", verdict_token(inc_.gate().verdict()))
         .str("engine", to_string(inc_.engine_kind()))
         .u64("vertices", g_.num_vertices())
         .u64("live_edges", g_.num_live_edges())
         .finish();
   }
 
-  // --- Client command path (ndg_serve wire shapes + tier extras) ---
-
-  void drain_client(LineConn& c) {
-    if (c.proto == dyn::WireProto::kJson) drain_client_lines(c);
-    if (c.proto == dyn::WireProto::kBin) drain_client_frames(c);
-    c.flush();
+  /// Runs the client's queued commands strictly in order, stopping at the
+  /// first that must wait for the in-flight epoch, so each client sees one
+  /// reply per command in send order. A hello upgrade switches the same
+  /// pass from lines to frames; replies are flushed once at the end.
+  void dispatch(std::uint64_t id, Client& c) {
+    if (c.conn.proto == dyn::WireProto::kJson) dispatch_lines(id, c);
+    if (c.conn.proto == dyn::WireProto::kBin) dispatch_frames(id, c);
+    c.conn.flush();
   }
 
-  void drain_client_lines(LineConn& c) {
-    while (!c.draining && !c.broken && !c.pending.empty() &&
-           c.proto == dyn::WireProto::kJson) {
-      const std::string line = std::move(c.pending.front());
-      c.pending.pop_front();
-      if (line.empty() ||
-          line.find_first_not_of(" \t\r") == std::string::npos) {
+  void dispatch_lines(std::uint64_t id, Client& c) {
+    LineConn& conn = c.conn;
+    while (!c.awaiting_epoch && !conn.draining && !conn.broken &&
+           !conn.pending.empty()) {
+      const std::string& line = conn.pending.front();
+      if (line.find_first_not_of(" \t\r") == std::string::npos) {
+        conn.pending.pop_front();
         continue;
       }
       dyn::WireMessage msg;
       std::string err;
+      std::string op;
       if (!parse_wire(line, msg, &err)) {
         ++parse_errors_;
-        c.queue_line(tier_error("parse: " + err));
-        continue;
-      }
-      std::string op;
-      if (!msg.get_string("op", op)) {
-        c.queue_line(tier_error("missing field: op"));
-        continue;
-      }
-      if (op == "hello") {
+        conn.queue_line(tier_error("parse: " + err));
+      } else if (!msg.get_string("op", op)) {
+        conn.queue_line(tier_error("missing field: op"));
+      } else if (op == "hello") {
         std::string proto;
         if (!msg.get_string("proto", proto)) {
-          c.queue_line(tier_error("hello: missing field: proto"));
+          conn.queue_line(tier_error("hello: missing field: proto"));
         } else if (proto != dyn::kBinProtoName) {
-          c.queue_line(tier_error("hello: unknown proto: " + proto));
+          conn.queue_line(tier_error("hello: unknown proto: " + proto));
+        } else if (client_listen_ < 0) {
+          conn.queue_line(tier_error("hello: bin1 needs a socket"));
         } else {
-          c.queue_line(dyn::WireWriter()
-                           .boolean("ok", true)
-                           .str("proto", dyn::kBinProtoName)
-                           .finish());
-          // Replays any pipelined frame bytes; drain_client falls through
-          // to the frame pump for them.
-          c.upgrade_to_bin();
+          conn.queue_line(dyn::WireWriter()
+                              .boolean("ok", true)
+                              .str("proto", dyn::kBinProtoName)
+                              .finish());
+          conn.pending.pop_front();
+          // Replays any frame bytes the client pipelined behind the hello;
+          // dispatch() falls through to the frames for them.
+          conn.upgrade_to_bin();
           return;
         }
-        continue;
-      }
-      if (op == "mutate") {
-        c.queue_line(handle_mutate(msg));
-      } else if (op == "recompute") {
-        c.queue_line(handle_recompute());
+      } else if (op == "mutate") {
+        conn.queue_line(handle_mutate(msg));
       } else if (op == "query") {
-        c.queue_line(query_reply(msg));
+        std::uint64_t v = 0;
+        if (!msg.get_u64("vertex", v)) {
+          conn.queue_line(tier_error("query: missing field: vertex"));
+        } else if (v >= values_.size()) {
+          conn.queue_line(
+              tier_error("query: vertex out of range: " + std::to_string(v)));
+        } else if (const auto qr = answer_query(v)) {
+          conn.queue_line(query_json(*qr));
+        } else {
+          return;  // barrier: answered when the epoch lands
+        }
+      } else if (op == "recompute") {
+        if (inflight_) return;  // one epoch at a time; wait our turn
+        conn.pending.pop_front();
+        start_epoch(id, c);
+        continue;
       } else if (op == "stats") {
-        c.queue_line(stats_reply());
-      } else if (op == "quit") {
-        c.queue_line(dyn::WireWriter()
-                         .boolean("ok", true)
-                         .boolean("bye", true)
-                         .finish());
-        c.draining = true;
+        if (inflight_) return;  // counters quiesce with the epoch
+        conn.queue_line(stats_reply());
+      } else if (op == "quit" ||
+                 (op == "shutdown" && opts_.stop == StopOp::kShutdown)) {
+        conn.queue_line(dyn::WireWriter()
+                            .boolean("ok", true)
+                            .boolean("bye", true)
+                            .finish());
+        conn.draining = true;
+        if (op == "shutdown" || opts_.stop == StopOp::kQuit) stop_server(id);
       } else if (op == "shutdown") {
-        begin_shutdown();
-        c.queue_line(dyn::WireWriter()
-                         .boolean("ok", true)
-                         .boolean("bye", true)
-                         .finish());
-        c.draining = true;
+        conn.queue_line(tier_error(kShutdownRefused));
       } else {
-        c.queue_line(tier_error("unknown op: " + op));
+        conn.queue_line(tier_error("unknown op: " + op));
       }
+      conn.pending.pop_front();
     }
   }
 
@@ -333,34 +542,35 @@ class Coordinator {
     c.queue_frame(dyn::FrameType::kError, what);
   }
 
-  /// Frame dispatch mirrors drain_client_lines op for op (recompute is
-  /// inline on the coordinator, so there is no epoch barrier to wait on).
-  /// Replies are queued without flushing; drain_client flushes once.
-  void drain_client_frames(LineConn& c) {
-    while (!c.draining && !c.broken && !c.frames.empty()) {
-      const dyn::Frame f = std::move(c.frames.front());
-      c.frames.pop_front();
+  /// Frame dispatch mirrors dispatch_lines op for op: same epoch barrier,
+  /// same in-order replies. A barrier wait returns WITHOUT popping the
+  /// frame; handled frames fall out of the switch and are popped below.
+  void dispatch_frames(std::uint64_t id, Client& c) {
+    LineConn& conn = c.conn;
+    while (!c.awaiting_epoch && !conn.draining && !conn.broken &&
+           !conn.frames.empty()) {
+      const dyn::Frame& f = conn.frames.front();
       std::string err;
       switch (f.type) {
         case dyn::FrameType::kMutate: {
           dyn::Mutation m;
           if (!dyn::decode_mutate(f.payload, m, &err)) {
-            frame_error(c, err);
+            frame_error(conn, err);
             break;
           }
           log_.append(m);
-          c.queue_frame(dyn::FrameType::kMutateAck,
-                        dyn::encode_mutate_ack(log_.pending()));
+          conn.queue_frame(dyn::FrameType::kMutateAck,
+                           dyn::encode_mutate_ack(log_.pending()));
           break;
         }
         case dyn::FrameType::kMBatch: {
           std::vector<dyn::Mutation> ms;
           if (!dyn::decode_mbatch(f.payload, ms, &err)) {
-            frame_error(c, err);
+            frame_error(conn, err);
             break;
           }
           log_.append(ms);
-          c.queue_frame(
+          conn.queue_frame(
               dyn::FrameType::kMBatchAck,
               dyn::encode_mbatch_ack(static_cast<std::uint32_t>(ms.size()),
                                      log_.pending()));
@@ -369,52 +579,60 @@ class Coordinator {
         case dyn::FrameType::kQuery: {
           std::uint64_t v = 0;
           if (!dyn::decode_query(f.payload, v, &err)) {
-            frame_error(c, err);
+            frame_error(conn, err);
             break;
           }
           if (v >= values_.size()) {
-            frame_error(c,
+            frame_error(conn,
                         "query: vertex out of range: " + std::to_string(v));
             break;
           }
-          dyn::QueryReplyBin qr;
-          qr.vertex = v;
-          qr.value = values_[v];
-          qr.epoch = log_.epoch();
-          c.queue_frame(dyn::FrameType::kQueryReply,
-                        dyn::encode_query_reply(qr));
+          const auto qr = answer_query(v);
+          if (!qr) return;  // barrier: answered when the epoch lands
+          conn.queue_frame(dyn::FrameType::kQueryReply,
+                           dyn::encode_query_reply(*qr));
           break;
         }
         case dyn::FrameType::kRecompute:
-          c.queue_frame(dyn::FrameType::kRecomputeReply,
-                        dyn::encode_recompute_reply(
-                            recompute_bin(do_recompute())));
+          if (inflight_) return;  // one epoch at a time; wait our turn
+          start_epoch(id, c);
           break;
         case dyn::FrameType::kStats:
-          c.queue_frame(dyn::FrameType::kJson, stats_reply());
+          if (inflight_) return;  // counters quiesce with the epoch
+          conn.queue_frame(dyn::FrameType::kJson, stats_reply());
           break;
         case dyn::FrameType::kQuit:
-          c.queue_frame(dyn::FrameType::kBye, {});
-          c.draining = true;
-          break;
         case dyn::FrameType::kShutdown:
-          begin_shutdown();
-          c.queue_frame(dyn::FrameType::kBye, {});
-          c.draining = true;
+          if (f.type == dyn::FrameType::kShutdown &&
+              opts_.stop != StopOp::kShutdown) {
+            conn.queue_frame(dyn::FrameType::kError, kShutdownRefused);
+            break;
+          }
+          conn.queue_frame(dyn::FrameType::kBye, {});
+          conn.draining = true;
+          if (f.type == dyn::FrameType::kShutdown ||
+              opts_.stop == StopOp::kQuit) {
+            stop_server(id);
+          }
           break;
         default:
-          frame_error(c, "unexpected frame type: " +
-                             std::to_string(
-                                 static_cast<unsigned>(f.type)));
+          frame_error(conn, "unexpected frame type: " +
+                                std::to_string(static_cast<unsigned>(f.type)));
           break;
       }
+      conn.frames.pop_front();
     }
   }
 
-  /// Tier-wide stop: tell every replica (on whichever protocol it speaks)
-  /// to exit; the loop ends once all out buffers flush.
-  void begin_shutdown() {
-    for (auto& [id, p] : peers_) {
+  static constexpr const char* kShutdownRefused =
+      "shutdown: refused (ndg_serve stops only on quit, with "
+      "--allow-shutdown)";
+
+  /// Sanctioned stop issued by client `id`: tell every replica (on whichever
+  /// protocol it speaks) to exit; the loop ends once the epoch in flight
+  /// has landed, the issuer's bye is flushed and every peer has drained.
+  void stop_server(std::uint64_t id) {
+    for (auto& [pid, p] : peers_) {
       if (p.conn.proto == dyn::WireProto::kBin) {
         p.conn.queue_frame(dyn::FrameType::kShutdown, {});
         p.conn.flush();
@@ -424,6 +642,12 @@ class Coordinator {
       p.conn.draining = true;
     }
     shutdown_ = true;
+    shutdown_client_ = id;
+  }
+
+  [[nodiscard]] bool exit_ready() const {
+    return shutdown_ && !inflight_ && peers_.empty() &&
+           !clients_.contains(shutdown_client_);
   }
 
   std::string handle_mutate(const dyn::WireMessage& msg) {
@@ -446,6 +670,12 @@ class Coordinator {
     if (!msg.get_u64("src", src) || !msg.get_u64("dst", dst)) {
       return tier_error("mutate: missing field: src/dst");
     }
+    // Truncating an id past VertexId's range would apply a different edge.
+    constexpr std::uint64_t kMaxId = std::numeric_limits<VertexId>::max();
+    if (src > kMaxId || dst > kMaxId) {
+      return tier_error("mutate: vertex id does not fit 32 bits: " +
+                        std::to_string(src > kMaxId ? src : dst));
+    }
     double weight = 1.0;
     msg.get_double("weight", weight);
     log_.append(dyn::Mutation{kind, static_cast<VertexId>(src),
@@ -457,41 +687,37 @@ class Coordinator {
         .finish();
   }
 
-  /// Seal + apply + ship one epoch; shared by both protocols' recompute.
-  dyn::EpochResult do_recompute() {
-    const dyn::MutationBatch batch = log_.seal();
-    std::vector<dyn::AppliedMutation> shipped;
-    dyn::EpochResult r =
-        inc_.apply_epoch(batch, /*auto_compact=*/false, &shipped);
-    bool compacted = false;
-    if (g_.should_compact()) {
-      inc_.compact_now();
-      compacted = true;
-      r.compacted = true;
+  /// A query's answer now, or nullopt while it must wait for the in-flight
+  /// epoch. Quiescent answers come from values_; with --live-queries, a
+  /// query during the racy run reads the live edge arrays (Lemma 1).
+  [[nodiscard]] std::optional<dyn::QueryReplyBin> answer_query(
+      std::uint64_t v) const {
+    dyn::QueryReplyBin qr;
+    qr.vertex = v;
+    qr.has_quiescent = opts_.live_queries;
+    if (!inflight_) {
+      qr.quiescent = true;
+      qr.value = values_[v];
+      qr.epoch = log_.epoch();
+      return qr;
     }
-    values_ = prog_.values();
-    replog_.append_batch(batch.epoch, std::move(shipped), compacted);
-    snap_cache_.reset();  // graph/seq moved on; peers mid-stream keep theirs
-    pump_all_peers();
-    return r;
+    if constexpr (kLiveCapable) {
+      if (opts_.live_queries &&
+          inc_.phase() == dyn::EpochPhase::kRunning) {
+        qr.value = inc_.live_value(static_cast<VertexId>(v));
+        qr.epoch = inflight_epoch_;
+        return qr;
+      }
+    }
+    return std::nullopt;
   }
 
-  std::string handle_recompute() {
-    const dyn::EpochResult r = do_recompute();
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .u64("epoch", r.epoch)
-        .boolean("warm", r.warm)
-        .str("reason", r.gate_reason)
-        .u64("applied", r.apply_stats.applied)
-        .u64("rejected", r.apply_stats.rejected)
-        .u64("seeds", r.seed_count)
-        .u64("iterations", r.engine.iterations)
-        .u64("updates", r.engine.updates)
-        .boolean("converged", r.engine.converged)
-        .boolean("compacted", r.compacted)
-        .u64("live_edges", g_.num_live_edges())
-        .finish();
+  [[nodiscard]] static std::string query_json(const dyn::QueryReplyBin& qr) {
+    dyn::WireWriter w;
+    w.boolean("ok", true).u64("vertex", qr.vertex);
+    tier_value_field(w, qr.value);
+    if (qr.has_quiescent) w.boolean("quiescent", qr.quiescent);
+    return w.u64("epoch", qr.epoch).finish();
   }
 
   [[nodiscard]] dyn::RecomputeReplyBin recompute_bin(
@@ -511,18 +737,22 @@ class Coordinator {
     return b;
   }
 
-  std::string query_reply(const dyn::WireMessage& msg) {
-    std::uint64_t v = 0;
-    if (!msg.get_u64("vertex", v)) {
-      return tier_error("query: missing field: vertex");
-    }
-    if (v >= values_.size()) {
-      return tier_error("query: vertex out of range: " + std::to_string(v));
-    }
-    dyn::WireWriter w;
-    w.boolean("ok", true).u64("vertex", v);
-    tier_value_field(w, values_[v]);
-    return w.u64("epoch", log_.epoch()).finish();
+  [[nodiscard]] static std::string recompute_json(
+      const dyn::RecomputeReplyBin& b) {
+    return dyn::WireWriter()
+        .boolean("ok", true)
+        .u64("epoch", b.epoch)
+        .boolean("warm", b.warm)
+        .str("reason", b.reason)
+        .u64("applied", b.applied)
+        .u64("rejected", b.rejected)
+        .u64("seeds", b.seeds)
+        .u64("iterations", b.iterations)
+        .u64("updates", b.updates)
+        .boolean("converged", b.converged)
+        .boolean("compacted", b.compacted)
+        .u64("live_edges", b.live_edges)
+        .finish();
   }
 
   /// Transport counters across clients AND replication peers; closed
@@ -539,11 +769,12 @@ class Coordinator {
         ++w.conns_json;
       }
     };
-    for (const auto& [id, c] : clients_) count(c);
+    for (const auto& [id, c] : clients_) count(c.conn);
     for (const auto& [id, p] : peers_) count(p.conn);
     return w;
   }
 
+  /// Quiescent only (the dispatch holds `stats` behind the epoch).
   std::string stats_reply() const {
     std::size_t synced = 0;
     for (const auto& [id, p] : peers_) {
@@ -554,10 +785,14 @@ class Coordinator {
         .boolean("ok", true)
         .str("role", "coordinator")
         .str("algo", prog_.name())
+        .str("verdict", verdict_token(inc_.gate().verdict()))
+        .str("engine", to_string(inc_.engine_kind()))
         .u64("epoch", log_.epoch())
         .u64("epoch_watermark", min_acked_epoch())
-        .u64("pending", log_.pending())
         .u64("log_history_len", log_.history_size())
+        .u64("pending", log_.pending())
+        .u64("total_mutations", log_.total_appended())
+        .u64("sealed_batches", log_.total_sealed_batches())
         .u64("rep_next_seq", replog_.next_seq())
         .u64("rep_oldest_seq", replog_.oldest_seq())
         .u64("rep_history", replog_.size())
@@ -567,7 +802,12 @@ class Coordinator {
         .u64("snapshots_served", snapshots_served_)
         .u64("vertices", g_.num_vertices())
         .u64("live_edges", g_.num_live_edges())
+        .u64("edge_bound", g_.num_edges())
+        .u64("inserted", g_.total_inserted())
+        .u64("deleted", g_.total_deleted())
+        .u64("reweighted", g_.total_reweighted())
         .u64("compactions", g_.compactions())
+        .num("overflow", g_.overflow_ratio())
         .u64("warm_runs", inc_.warm_runs())
         .u64("cold_runs", inc_.cold_runs())
         .u64("bytes_in", wire.bytes_in)
@@ -679,7 +919,9 @@ class Coordinator {
     }
     if (p.next_seq >= replog_.next_seq()) return;  // caught up
     if (!replog_.has(p.next_seq)) {
-      send_snapshot(p);
+      // A snapshot reads (and may compact) g_: wait for the epoch to land;
+      // finish_epoch pumps every peer again.
+      if (!inflight_) send_snapshot(p);
       return;
     }
     const dyn::RepRecord& rec = replog_.get(p.next_seq);
@@ -789,9 +1031,10 @@ class Coordinator {
       closed_wire_.bytes_out += c.bytes_out;
     };
     for (auto it = clients_.begin(); it != clients_.end();) {
-      if (it->second.finished()) {
-        retire(it->second);
-        it->second.close_fd();
+      const Client& c = it->second;
+      if (c.conn.finished() && !c.awaiting_epoch) {
+        retire(c.conn);
+        it->second.conn.close_fd();
         it = clients_.erase(it);
       } else {
         ++it;
@@ -815,34 +1058,27 @@ class Coordinator {
         ++it;
       }
     }
-    // Collect exited replica children (launcher layout only) so a crashed
-    // replica is reaped promptly instead of lingering as a zombie until the
-    // coordinator itself exits. Clean exits (tier shutdown) count only as
-    // reaped; anything else marks the tier failed.
-    if (opts_.reap_children) {
-      for (;;) {
-        int status = 0;
-        const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-        if (pid <= 0) break;
-        ++children_reaped_;
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-          ++children_crashed_;
-          std::cerr << "ndg_tier: replica child " << pid << " "
-                    << (WIFSIGNALED(status)
-                            ? "killed by signal " +
-                                  std::to_string(WTERMSIG(status))
-                            : "exited with status " +
-                                  std::to_string(WEXITSTATUS(status)))
-                    << "\n";
-        }
+    // Collect exited replica children (ndg_tier forks them into this
+    // process; elsewhere waitpid finds none) so a crashed replica is reaped
+    // promptly instead of lingering as a zombie until the coordinator
+    // itself exits. Clean exits (tier shutdown) count only as reaped;
+    // anything else marks the tier failed.
+    for (;;) {
+      int status = 0;
+      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
+      if (pid <= 0) break;
+      ++children_reaped_;
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        ++children_crashed_;
+        std::cerr << "ndg_tier: replica child " << pid << " "
+                  << (WIFSIGNALED(status)
+                          ? "killed by signal " +
+                                std::to_string(WTERMSIG(status))
+                          : "exited with status " +
+                                std::to_string(WEXITSTATUS(status)))
+                  << "\n";
       }
     }
-  }
-
-  /// After shutdown: done once every bye/shutdown line has been flushed
-  /// (reap() drops each drained connection as its buffer empties).
-  [[nodiscard]] bool drained() const {
-    return clients_.empty() && peers_.empty();
   }
 
   dyn::DynGraph g_;
@@ -852,6 +1088,7 @@ class Coordinator {
   dyn::ReplicationLog replog_;
   CoordinatorOptions opts_;
   std::vector<double> values_;
+  std::string ready_;  // greeting as of the last quiescent point
   /// Snapshot shared by every peer re-seeding from the current seq; reset
   /// whenever a record is appended (the graph or seq moved on). Peers
   /// mid-stream keep their shared_ptr, so their snapshot stays consistent
@@ -860,7 +1097,7 @@ class Coordinator {
 
   int client_listen_ = -1;
   int rep_listen_ = -1;
-  std::map<std::uint64_t, LineConn> clients_;
+  std::map<std::uint64_t, Client> clients_;
   std::map<std::uint64_t, RepPeer> peers_;
   std::uint64_t next_id_ = 0;
   std::uint64_t snapshots_served_ = 0;
@@ -870,6 +1107,22 @@ class Coordinator {
   dyn::WireCounters closed_wire_;   // byte totals of reaped connections
   std::uint64_t parse_errors_ = 0;  // bad lines + bad frame payloads
   bool shutdown_ = false;
+  std::uint64_t shutdown_client_ = 0;
+
+  // In-flight epoch (loop thread only).
+  bool inflight_ = false;
+  std::uint64_t inflight_client_ = 0;
+  std::uint64_t inflight_epoch_ = 0;
+
+  // Worker handshake: job_, done_ and stop_worker_ are guarded by mu_.
+  int wake_r_ = -1;
+  int wake_w_ = -1;
+  std::thread worker_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_worker_ = false;
+  std::optional<dyn::MutationBatch> job_;
+  std::optional<Landed> done_;
 };
 
 }  // namespace ndg::tier

@@ -1,14 +1,16 @@
 #pragma once
 // Socket plumbing shared by the serving stack (docs/TIER.md, docs/DYNAMIC.md):
-// the coordinator, the replicas, ndg_serve's socket transport, bench_tier,
-// bench_serve and test_tier all speak the same wire protocols
+// the coordinator (the one serving front-end, whichever of ndg_serve or
+// ndg_tier launched it), the replicas, bench_tier, bench_serve and the
+// tests all speak the same wire protocols
 // (dyn/wire.hpp — newline-JSON by default, bin1 frames after a hello
 // upgrade) over unix stream sockets, and they all multiplex with the same
 // nonblocking buffered connection state. This header is that shared layer —
 // nothing in it knows about graphs or replication, only fds, lines, frames,
 // and the tier's well-known socket names inside a run directory:
 //
-//   <dir>/coord.sock      writes + coordinator-local reads (ndg_serve shape)
+//   <dir>/coord.sock      writes + coordinator-local reads (ndg_tier; ndg_serve
+//                         binds the same coordinator at --socket=PATH)
 //   <dir>/rep.sock        replication stream (replicas only)
 //   <dir>/replica-K.sock  read fan-out endpoint of replica K
 
@@ -34,7 +36,7 @@ int connect_unix(const std::string& path, int timeout_ms = 10000);
 
 /// One nonblocking buffered peer: bytes in -> complete messages out, replies
 /// queued into `out_buf` and flushed as the socket accepts them. The flag
-/// trio mirrors ndg_serve's client lifecycle: eof = peer closed its write
+/// trio is the coordinator's client lifecycle: eof = peer closed its write
 /// side (an unterminated tail still counts as a final line), draining =
 /// close once out_buf empties, broken = write/protocol error, drop without
 /// ceremony.

@@ -64,7 +64,7 @@ namespace ndg::tier {
 struct ReplicaOptions {
   std::size_t id = 0;
   std::string dir;
-  std::uint32_t chaos_lag_ms = 0;  // hold: sleep before applying each record
+  std::uint32_t chaos_hold_ms = 0;  // hold: sleep before applying each record
   /// stale: serve reads from a retained state up to this many records old
   /// (0 = serve the latest applied state, no chaos).
   std::uint32_t chaos_stale_records = 0;
@@ -361,9 +361,9 @@ class Replica {
   }
 
   void chaos_hold() {
-    if (opts_.chaos_lag_ms > 0) {
+    if (opts_.chaos_hold_ms > 0) {
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(opts_.chaos_lag_ms));
+          std::chrono::milliseconds(opts_.chaos_hold_ms));
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "atomics/access_policy.hpp"
@@ -169,6 +170,19 @@ TEST(AtomicityMode, Names) {
   EXPECT_STREQ(to_string(AtomicityMode::kAligned), "aligned");
   EXPECT_STREQ(to_string(AtomicityMode::kRelaxed), "relaxed");
   EXPECT_STREQ(to_string(AtomicityMode::kSeqCst), "seq_cst");
+}
+
+TEST(AtomicityMode, ParseRoundTripsAndRejectsUnknown) {
+  for (const AtomicityMode m : {AtomicityMode::kLocked, AtomicityMode::kAligned,
+                                AtomicityMode::kRelaxed,
+                                AtomicityMode::kSeqCst}) {
+    EXPECT_EQ(parse_atomicity_mode(to_string(m)), m) << to_string(m);
+  }
+  // A typo must fail loudly, not fall back to relaxed.
+  for (const char* bad : {"lockd", "", "Relaxed", "seqcst", "relaxed "}) {
+    EXPECT_THROW((void)parse_atomicity_mode(bad), std::invalid_argument)
+        << '"' << bad << '"';
+  }
 }
 
 template <typename Policy>

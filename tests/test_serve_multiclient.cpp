@@ -482,4 +482,83 @@ TEST(ServeMultiClient, LiveQueriesAnswerMidRecompute) {
   server.stop();
 }
 
+// A JSON id past VertexId's 32 bits must be refused at intake, not
+// truncated into a different edge (4294967296 -> 0, 4294967301 -> 5 would
+// insert 0->5). The refused mutate leaves the pending count untouched.
+TEST(ServeMultiClient, MutateRejectsIdsWiderThanVertexId) {
+  Server server;
+  server.start({"--algo=wcc", "--kind=chain", "--vertices=8", "--threads=2"});
+  Client a;
+  a.connect(server.socket);
+  EXPECT_TRUE(contains(a.read_line(), "\"live_edges\":7"));
+
+  for (const char* bad :
+       {R"({"op":"mutate","kind":"insert","src":4294967296,"dst":4294967301})",
+        R"({"op":"mutate","kind":"insert","src":1,"dst":4294967296})"}) {
+    a.send_line(bad);
+    const std::string r = a.read_line();
+    EXPECT_TRUE(contains(r, "\"ok\":false,\"error\":\"mutate: ")) << r;
+  }
+  // UINT32_MAX itself fits the type; DynGraph rejects it as out of range.
+  a.send_line(R"({"op":"mutate","kind":"insert","src":4294967295,"dst":1})");
+  EXPECT_TRUE(contains(a.read_line(), "\"ok\":true,\"pending\":1"));
+  a.send_line(R"({"op":"recompute"})");
+  const std::string rec = a.read_line();
+  EXPECT_TRUE(contains(rec, "\"applied\":0,\"rejected\":1")) << rec;
+  EXPECT_TRUE(contains(rec, "\"live_edges\":7")) << rec;
+  server.stop();
+}
+
+// Without --allow-shutdown no client can stop the server: the JSON
+// `shutdown` op and the kShutdown frame both draw an error and the server
+// keeps serving. With the flag, `quit` stops it with exit status 0.
+TEST(ServeMultiClient, ShutdownNeedsAllowShutdown) {
+  namespace dyn = ndg::dyn;
+  {
+    Server server;
+    server.start({"--algo=wcc", "--kind=chain", "--vertices=8",
+                  "--threads=2"});
+    Client a;
+    a.connect(server.socket);
+    EXPECT_TRUE(contains(a.read_line(), "\"ready\":true"));
+    a.send_line(R"({"op":"shutdown"})");
+    const std::string r = a.read_line();
+    EXPECT_TRUE(contains(r, "\"ok\":false")) << r;
+
+    Client b;
+    b.connect(server.socket);
+    EXPECT_TRUE(contains(b.read_line(), "\"ready\":true"));
+    b.send_line(R"({"op":"hello","proto":"bin1"})");
+    EXPECT_TRUE(contains(b.read_line(), "\"proto\":\"bin1\""));
+    b.send_frame(dyn::FrameType::kShutdown, "");
+    const dyn::Frame f = b.read_frame();
+    EXPECT_EQ(f.type, dyn::FrameType::kError);
+    EXPECT_FALSE(f.payload.empty());
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_TRUE(server.alive());
+    // Both connections still work after the refusals.
+    a.send_line(R"({"op":"query","vertex":3})");
+    EXPECT_TRUE(contains(a.read_line(), "\"vertex\":3,\"value\":0"));
+    b.send_frame(dyn::FrameType::kQuery, dyn::encode_query(3));
+    EXPECT_EQ(b.read_frame().type, dyn::FrameType::kQueryReply);
+    server.stop();
+  }
+  {
+    Server server;
+    server.start({"--algo=wcc", "--kind=chain", "--vertices=8",
+                  "--threads=2", "--allow-shutdown"});
+    Client a;
+    a.connect(server.socket);
+    EXPECT_TRUE(contains(a.read_line(), "\"ready\":true"));
+    a.send_line(R"({"op":"quit"})");
+    EXPECT_TRUE(contains(a.read_line(), "\"bye\":true"));
+    const int status = server.join();
+    ASSERT_NE(status, -1) << "server did not exit after sanctioned quit";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "status=" << status;
+    server.stop();
+  }
+}
+
 }  // namespace

@@ -8,7 +8,7 @@
 //    programs (SSSP, WCC — Theorem 2 territory, unique fixed point), and
 //    within tolerance for PageRank (eps-converged, schedule-dependent tail);
 //  * replies carry the epoch watermark so staleness is observable;
-//  * a replica held back with --chaos-lag-ms falls past the coordinator's
+//  * a replica held back with --chaos=hold:<ms> falls past the coordinator's
 //    bounded history (--history), is re-seeded with a full snapshot instead
 //    of erroring, and converges to the same answers afterwards.
 //
@@ -287,7 +287,7 @@ TEST(Tier, ReplicasConvergeToCoordinatorAnswersExactly) {
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
-// A replica held back with --chaos-lag-ms while the coordinator seals epochs
+// A replica held back with --chaos=hold:300 while the coordinator seals epochs
 // faster than the 2-record ReplicationLog retains them must fall past the
 // bound, get re-seeded with a full snapshot (stats prove it on both sides),
 // and end up answering WCC queries exactly like the coordinator.
@@ -295,7 +295,7 @@ TEST(Tier, LaggedReplicaSnapshotsAndConvergesExactly) {
   Tier tier;
   tier.start({"--replicas=1", "--algo=wcc", "--kind=er", "--vertices=300",
               "--edges=900", "--seed=7", "--gate=theorem2", "--threads=2",
-              "--history=2", "--chaos-lag-ms=300"});
+              "--history=2", "--chaos=hold:300"});
   Client coord;
   coord.connect(tier.coord_sock());
   EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
@@ -402,7 +402,7 @@ TEST(Tier, MixedProtocolReplicasConvergeExactly) {
   tier.start({"--replicas=2", "--proto=mixed", "--algo=wcc", "--kind=er",
               "--vertices=300", "--edges=900", "--seed=7",
               "--gate=theorem2", "--threads=2", "--history=2",
-              "--chaos-lag-ms=300"});
+              "--chaos=hold:300"});
   Client coord;
   coord.connect(tier.coord_sock());
   EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
@@ -499,7 +499,7 @@ TEST(Tier, SnapshotAfterIdReuseStaysCanonical) {
   Tier tier;
   tier.start({"--replicas=1", "--algo=sssp", "--kind=chain",
               "--vertices=300", "--gate=theorem2", "--threads=2",
-              "--history=2", "--chaos-lag-ms=300"});
+              "--history=2", "--chaos=hold:300"});
   Client coord;
   coord.connect(tier.coord_sock());
   EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
@@ -555,6 +555,66 @@ TEST(Tier, SnapshotAfterIdReuseStaysCanonical) {
     const std::string qc = query(coord, v);
     const std::string qr = query(rep, v);
     EXPECT_EQ(field(qc, "value"), field(qr, "value")) << qc << "\n" << qr;
+  }
+
+  EXPECT_TRUE(contains(coord.rpc(R"({"op":"shutdown"})"), "\"bye\":true"));
+  const int status = tier.join();
+  ASSERT_NE(status, -1) << "tier did not exit after shutdown";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+// Coordinator epochs run on its epoch worker (each engine run held open for
+// 200 ms) while a replica held 300 ms per record falls past the 2-record
+// history and must be re-seeded by snapshot — a snapshot reads the graph,
+// so it has to wait for the epoch in flight to land. A query from a second
+// coordinator client sent while an epoch is held is answered only once the
+// epoch has landed, stamped with the new epoch; at quiescence the replica
+// equals the coordinator at every vertex.
+TEST(Tier, EpochWorkerHoldsReadsAndSnapshotsUntilTheEpochLands) {
+  Tier tier;
+  tier.start({"--replicas=1", "--algo=wcc", "--kind=er", "--vertices=300",
+              "--edges=900", "--seed=7", "--gate=theorem2", "--threads=2",
+              "--history=2", "--chaos=hold:300", "--epoch-hold-ms=200"});
+  Client coord;
+  Client reader;
+  coord.connect(tier.coord_sock());
+  reader.connect(tier.coord_sock());
+  EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
+  EXPECT_TRUE(contains(reader.read_line(), "\"ready\":true"));
+  wait_for_replicas(coord, 1);
+
+  constexpr int kEpochs = 10;
+  for (int e = 1; e <= kEpochs; ++e) {
+    // One write: the coordinator acks the mutates and starts the epoch in
+    // the same dispatch pass, before it can read the reader's query.
+    std::string burst;
+    for (int i = 0; i < 4; ++i) {
+      burst += R"({"op":"mutate","kind":"insert","src":)" +
+               std::to_string(280 + e) + R"(,"dst":)" +
+               std::to_string((e * 37 + i * 11) % 300) + "}\n";
+    }
+    coord.send_line(burst + R"({"op":"recompute"})");
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(contains(coord.read_line(), "\"pending\":")) << e;
+    }
+    const std::string q = query(reader, 290);
+    EXPECT_EQ(field(q, "epoch"), std::to_string(e)) << q;
+    const std::string rec = coord.read_line();
+    EXPECT_EQ(field(rec, "epoch"), std::to_string(e)) << rec;
+    EXPECT_EQ(field(rec, "converged"), "true") << rec;
+  }
+
+  const std::string st = wait_watermark(coord, 120000);
+  EXPECT_EQ(field(st, "epoch"), std::to_string(kEpochs)) << st;
+  EXPECT_GE(num_field(st, "snapshots_served"), 1) << st;
+
+  Client rep;
+  rep.connect(tier.replica_sock(0));
+  rep.read_line();  // greeting
+  for (int v = 0; v < 300; ++v) {
+    const std::string qc = query(coord, v);
+    const std::string qr = query(rep, v);
+    ASSERT_EQ(field(qc, "value"), field(qr, "value")) << qc << "\n" << qr;
   }
 
   EXPECT_TRUE(contains(coord.rpc(R"({"op":"shutdown"})"), "\"bye\":true"));

@@ -1,1079 +1,57 @@
-// ndg_serve — long-running streaming front-end for the dyn/ subsystem
-// (docs/DYNAMIC.md). Speaks one flat JSON object per line (dyn/wire.hpp)
-// over stdin/stdout or a unix socket (--socket=PATH):
+// ndg_serve — single-process launcher of the serving front-end
+// (tier::Coordinator with no replicas; docs/DYNAMIC.md). Speaks one flat
+// JSON object per line (dyn/wire.hpp) over stdin/stdout or a unix socket
+// (--socket=PATH):
 //
 //   {"op":"mutate","kind":"insert","src":3,"dst":7,"weight":2.5}
 //   {"op":"recompute"}            seal the pending batch as one epoch and
 //                                 warm- or cold-recompute behind the gate
 //   {"op":"query","vertex":7}     read one vertex result
-//   {"op":"stats"}                log / graph / engine counters
+//   {"op":"stats"}                log / graph / engine / wire counters
 //   {"op":"quit"}                 stdio: stop the server; socket: disconnect
 //                                 this client (whole-server stop only with
-//                                 --allow-shutdown)
+//                                 --allow-shutdown, which also admits the
+//                                 `shutdown` op)
 //
 // Mutations accumulate in a MutationLog and are batched BY EPOCH: everything
 // appended between two `recompute` commands seals into one MutationBatch.
+// On a socket, clients may upgrade to bin1 frames with
+// {"op":"hello","proto":"bin1"}; recompute runs on the coordinator's epoch
+// worker and --live-queries answers queries mid-run, labeled
+// "quiescent":false. Stdio runs each recompute inline.
 //
-// Transports:
-//  * stdio — the original single-threaded command loop: one implicit client,
-//    recompute runs inline, queries are answered between epochs from
-//    quiescent arrays. Replies are byte-identical to the pre-multiplex
-//    server.
-//  * unix socket — a poll() event loop multiplexing N concurrent clients,
-//    each with its own input buffer and strictly in-order reply queue.
-//    Mutation intake stays funneled through the single mutex-guarded
-//    MutationLog, so any client may mutate at any time. `recompute` seals an
-//    epoch and hands it to a background worker thread, keeping the event
-//    loop responsive; commands that need quiescence (another recompute,
-//    stats, plain queries) wait for the in-flight epoch, commands that do
-//    not (mutate, quit, parse errors) are answered immediately.
-//
-// --live-queries (opt-in): a `query` that arrives while the worker is inside
-// its racy engine run is answered FROM THE LIVE EDGE ARRAYS through the
-// configured relaxed/aligned access policy — the read is licensed by the
-// same Lemma 1 argument as the engines' own reads (individual edge reads
-// are atomic) — and the reply is labeled "quiescent":false and stamped with
-// the in-flight epoch. Quiescent-point queries keep the cached-vector path
-// and are labeled "quiescent":true. Without the flag, query replies keep the
-// legacy shape (no quiescent field) and queue behind the epoch barrier.
+// Flags: those of tools/serve_launch.hpp (defaults --threads=4,
+// --compact-threshold=0.25) plus --socket=PATH and --allow-shutdown.
+// ndg_tier launches the same front-end with replicas (docs/TIER.md).
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cmath>
-#include <condition_variable>
 #include <csignal>
-#include <cstring>
-#include <deque>
 #include <iostream>
-#include <map>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
-#include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "dyn/dyn_graph.hpp"
-#include "dyn/eligibility_gate.hpp"
-#include "dyn/incremental.hpp"
-#include "dyn/mutation_log.hpp"
-#include "dyn/wire.hpp"
-#include "nondetgraph.hpp"
-#include "tier/net.hpp"
-#include "util/cli.hpp"
-
-namespace ndg {
-namespace {
-
-struct ServeConfig {
-  dyn::GateMode gate = dyn::GateMode::kAnalyze;
-  dyn::DynEngine engine = dyn::DynEngine::kNE;
-  EngineOptions engine_opts;
-  double compact_threshold = 0.25;
-  std::string socket_path;   // empty = stdin/stdout
-  bool live_queries = false;  // answer queries mid-recompute (labeled)
-  bool allow_shutdown = false;  // socket: let a client's quit stop the server
-  std::uint32_t epoch_hold_ms = 0;  // test aid: stretch the engine-run phase
-};
-
-AtomicityMode parse_mode(const std::string& s) {
-  if (s == "locked") return AtomicityMode::kLocked;
-  if (s == "aligned") return AtomicityMode::kAligned;
-  if (s == "seq_cst") return AtomicityMode::kSeqCst;
-  return AtomicityMode::kRelaxed;
-}
-
-/// Compact wire token for the verdict (core's to_string is a prose line).
-const char* verdict_token(EligibilityVerdict v) {
-  switch (v) {
-    case EligibilityVerdict::kTheorem1: return "theorem-1";
-    case EligibilityVerdict::kTheorem2: return "theorem-2";
-    case EligibilityVerdict::kNotProven: return "not-proven";
-  }
-  return "unknown";
-}
-
-std::optional<dyn::GateMode> parse_gate(const std::string& s) {
-  if (s == "analyze") return dyn::GateMode::kAnalyze;
-  if (s == "static") return dyn::GateMode::kStatic;
-  if (s == "theorem1") return dyn::GateMode::kAssumeTheorem1;
-  if (s == "theorem2") return dyn::GateMode::kAssumeTheorem2;
-  if (s == "ineligible") return dyn::GateMode::kAssumeIneligible;
-  return std::nullopt;
-}
-
-// --- Command handling ------------------------------------------------------
-
-std::string error_reply(const std::string& what) {
-  return dyn::WireWriter().boolean("ok", false).str("error", what).finish();
-}
-
-/// JSON has no literal for the IEEE specials; label them distinctly
-/// ("inf" used to swallow NaN because isfinite is false for both).
-void add_value_field(dyn::WireWriter& w, double value) {
-  if (std::isnan(value)) {
-    w.str("value", "nan");
-  } else if (std::isinf(value)) {
-    w.str("value", value > 0 ? "inf" : "-inf");
-  } else {
-    w.num("value", value);
-  }
-}
-
-/// One live algorithm instance: log + graph + gate + incremental engine,
-/// plus a result cache refreshed at each quiescent point (cold start and
-/// every recompute) so queries never re-copy the whole result vector.
-///
-/// Threading contract (socket mode): run_epoch_on_worker is the ONLY method
-/// called off the event-loop thread, and the event loop calls nothing but
-/// handle_mutate (MutationLog is mutex-guarded) and — in live mode, only
-/// while engine_running() — live_query_reply while it is in flight.
-template <typename Program>
-class Session {
- public:
-  Session(dyn::DynGraph graph, Program prog, const ServeConfig& cfg)
-      : g_(std::move(graph)),
-        prog_(std::move(prog)),
-        inc_(g_, prog_,
-             dyn::EligibilityGate::make(cfg.gate, g_.base(), prog_),
-             cfg.engine_opts, cfg.engine),
-        live_mode_(cfg.live_queries) {
-    inc_.set_run_hold_ms(cfg.epoch_hold_ms);
-    inc_.recompute_cold();
-    values_ = prog_.values();
-  }
-
-  [[nodiscard]] std::string ready_line() const {
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .boolean("ready", true)
-        .str("algo", prog_.name())
-        .str("verdict", verdict_token(inc_.gate().verdict()))
-        .str("engine", to_string(inc_.engine_kind()))
-        .u64("vertices", g_.num_vertices())
-        .u64("live_edges", g_.num_live_edges())
-        .finish();
-  }
-
-  /// Synchronous dispatch (stdio transport): one parsed command in, one
-  /// reply out; sets `quit` on the quit op. Recompute runs inline, so every
-  /// query observes a quiescent point — the pre-multiplex behavior.
-  std::string handle(const dyn::WireMessage& msg, bool& quit,
-                     const dyn::WireCounters& wire) {
-    std::string op;
-    if (!msg.get_string("op", op)) return error_reply("missing field: op");
-    if (op == "mutate") return handle_mutate(msg);
-    if (op == "recompute") {
-      const dyn::MutationBatch batch = log_.seal();
-      dyn::EpochResult r = inc_.apply_epoch(batch);
-      values_ = prog_.values();  // refresh the quiescent query cache
-      return recompute_reply(r);
-    }
-    if (op == "query") return query_reply(msg);
-    if (op == "stats") return stats_reply(wire);
-    if (op == "quit") {
-      quit = true;
-      return bye_reply();
-    }
-    return error_reply("unknown op: " + op);
-  }
-
-  // --- Granular surface for the multiplexed socket server ---
-
-  [[nodiscard]] static std::string bye_reply() {
-    return dyn::WireWriter().boolean("ok", true).boolean("bye", true).finish();
-  }
-
-  /// Safe from the event loop at any time (MutationLog serializes intake).
-  std::string handle_mutate(const dyn::WireMessage& msg) {
-    std::string kind_s;
-    std::uint64_t src = 0;
-    std::uint64_t dst = 0;
-    if (!msg.get_string("kind", kind_s)) {
-      return error_reply("mutate: missing field: kind");
-    }
-    dyn::MutationKind kind;
-    if (kind_s == "insert") {
-      kind = dyn::MutationKind::kInsertEdge;
-    } else if (kind_s == "delete") {
-      kind = dyn::MutationKind::kDeleteEdge;
-    } else if (kind_s == "weight") {
-      kind = dyn::MutationKind::kWeightChange;
-    } else {
-      return error_reply("mutate: unknown kind: " + kind_s);
-    }
-    if (!msg.get_u64("src", src) || !msg.get_u64("dst", dst)) {
-      return error_reply("mutate: missing field: src/dst");
-    }
-    double weight = 1.0;
-    msg.get_double("weight", weight);
-    log_.append(dyn::Mutation{kind, static_cast<VertexId>(src),
-                              static_cast<VertexId>(dst),
-                              static_cast<float>(weight)});
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .u64("pending", log_.pending())
-        .finish();
-  }
-
-  /// Binary intake paths: pre-decoded mutations go straight into the log
-  /// (same mutex-guarded funnel as handle_mutate). The mbatch overload is
-  /// the whole point of the bin1 protocol — one frame, one bulk append.
-  std::uint64_t append_mutation(const dyn::Mutation& m) {
-    log_.append(m);
-    return log_.pending();
-  }
-  std::uint64_t append_mutations(const std::vector<dyn::Mutation>& ms) {
-    log_.append(ms);
-    return log_.pending();
-  }
-
-  [[nodiscard]] std::uint64_t epoch() const { return log_.epoch(); }
-  [[nodiscard]] std::size_t num_values() const { return values_.size(); }
-  [[nodiscard]] double quiescent_value(std::uint64_t v) const {
-    return values_[v];
-  }
-  [[nodiscard]] bool live_mode() const { return live_mode_; }
-
-  /// Seals the pending tail into the next epoch's batch (event loop).
-  [[nodiscard]] dyn::MutationBatch seal_batch() { return log_.seal(); }
-
-  /// Runs one sealed epoch on the worker thread. Compaction is deferred to
-  /// finish_epoch so live readers never race a CSR rebuild.
-  [[nodiscard]] dyn::EpochResult run_epoch_on_worker(
-      const dyn::MutationBatch& batch) {
-    return inc_.apply_epoch(batch, /*auto_compact=*/false);
-  }
-
-  /// Event loop, after the worker handed the result back (worker idle):
-  /// performs the deferred compaction and refreshes the quiescent cache.
-  /// Returns the completed result; the transport formats it for whichever
-  /// protocol the issuing client speaks (recompute_reply / recompute_bin).
-  dyn::EpochResult finish_epoch(dyn::EpochResult r) {
-    if (g_.should_compact()) {
-      inc_.compact_now();
-      r.compacted = true;
-    }
-    values_ = prog_.values();
-    return r;
-  }
-
-  /// Quiescent-point query from the cached vector. In live mode the reply
-  /// carries "quiescent":true; without the flag it keeps the legacy shape.
-  std::string query_reply(const dyn::WireMessage& msg) {
-    std::uint64_t v = 0;
-    std::string err;
-    if (!parse_query_vertex(msg, v, err)) return error_reply(err);
-    dyn::WireWriter w;
-    w.boolean("ok", true).u64("vertex", v);
-    add_value_field(w, values_[v]);
-    if (live_mode_) w.boolean("quiescent", true);
-    return w.u64("epoch", log_.epoch()).finish();
-  }
-
-  /// Whether the program can reconstruct a vertex value from edge reads.
-  [[nodiscard]] static constexpr bool live_capable() {
-    return dyn::IncrementalEngine<Program>::kLiveQueryCapable;
-  }
-
-  /// True while the in-flight epoch is inside its racy engine run — the only
-  /// window in which live reads are licensed (apply/compact phases move the
-  /// arrays themselves).
-  [[nodiscard]] bool engine_running() const {
-    return inc_.phase() == dyn::EpochPhase::kRunning;
-  }
-
-  /// Mid-recompute query through the access policy (Lemma 1), labeled
-  /// non-quiescent and stamped with the epoch being recomputed. Only called
-  /// when live_capable() and engine_running().
-  std::string live_query_reply(const dyn::WireMessage& msg,
-                               std::uint64_t inflight_epoch) {
-    std::uint64_t v = 0;
-    std::string err;
-    if (!parse_query_vertex(msg, v, err)) return error_reply(err);
-    dyn::WireWriter w;
-    w.boolean("ok", true).u64("vertex", v);
-    if constexpr (live_capable()) {
-      add_value_field(w, inc_.live_value(static_cast<VertexId>(v)));
-    }
-    return w.boolean("quiescent", false).u64("epoch", inflight_epoch)
-        .finish();
-  }
-
-  std::string recompute_reply(const dyn::EpochResult& r) const {
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .u64("epoch", r.epoch)
-        .boolean("warm", r.warm)
-        .str("reason", r.gate_reason)
-        .u64("applied", r.apply_stats.applied)
-        .u64("rejected", r.apply_stats.rejected)
-        .u64("seeds", r.seed_count)
-        .u64("iterations", r.engine.iterations)
-        .u64("updates", r.engine.updates)
-        .boolean("converged", r.engine.converged)
-        .boolean("compacted", r.compacted)
-        .u64("live_edges", g_.num_live_edges())
-        .finish();
-  }
-
-  /// Same result, bin1 shape (kRecomputeReply payload struct).
-  [[nodiscard]] dyn::RecomputeReplyBin recompute_bin(
-      const dyn::EpochResult& r) const {
-    dyn::RecomputeReplyBin b;
-    b.epoch = r.epoch;
-    b.warm = r.warm;
-    b.converged = r.engine.converged;
-    b.compacted = r.compacted;
-    b.applied = r.apply_stats.applied;
-    b.rejected = r.apply_stats.rejected;
-    b.seeds = r.seed_count;
-    b.iterations = r.engine.iterations;
-    b.updates = r.engine.updates;
-    b.live_edges = g_.num_live_edges();
-    b.reason = r.gate_reason;
-    return b;
-  }
-
-  /// Raw live read for the binary query path; only meaningful when
-  /// live_capable() and engine_running() (same license as live_query_reply).
-  [[nodiscard]] double live_value(VertexId v) {
-    if constexpr (live_capable()) return inc_.live_value(v);
-    return 0.0;
-  }
-
-  std::string stats_reply(const dyn::WireCounters& wire) {
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .str("algo", prog_.name())
-        .str("verdict", verdict_token(inc_.gate().verdict()))
-        .str("engine", to_string(inc_.engine_kind()))
-        .u64("epoch", log_.epoch())
-        // Single-process serving IS its own watermark (nothing trails it);
-        // the field exists so tier-aware clients can read one shape from
-        // both ndg_serve and ndg_tier stats (docs/TIER.md).
-        .u64("epoch_watermark", log_.epoch())
-        .u64("log_history_len", log_.history_size())
-        .u64("pending", log_.pending())
-        .u64("total_mutations", log_.total_appended())
-        .u64("sealed_batches", log_.total_sealed_batches())
-        .u64("vertices", g_.num_vertices())
-        .u64("live_edges", g_.num_live_edges())
-        .u64("edge_bound", g_.num_edges())
-        .u64("inserted", g_.total_inserted())
-        .u64("deleted", g_.total_deleted())
-        .u64("reweighted", g_.total_reweighted())
-        .u64("compactions", g_.compactions())
-        .num("overflow", g_.overflow_ratio())
-        .u64("warm_runs", inc_.warm_runs())
-        .u64("cold_runs", inc_.cold_runs())
-        // Transport counters (docs/DYNAMIC.md): appended last so the older
-        // exact-substring smoke greps keep matching unchanged.
-        .u64("bytes_in", wire.bytes_in)
-        .u64("bytes_out", wire.bytes_out)
-        .u64("parse_errors", wire.parse_errors)
-        .u64("conns_json", wire.conns_json)
-        .u64("conns_bin", wire.conns_bin)
-        .finish();
-  }
-
- private:
-  bool parse_query_vertex(const dyn::WireMessage& msg, std::uint64_t& v,
-                          std::string& err) const {
-    if (!msg.get_u64("vertex", v)) {
-      err = "query: missing field: vertex";
-      return false;
-    }
-    if (v >= values_.size()) {
-      err = "query: vertex out of range: " + std::to_string(v);
-      return false;
-    }
-    return true;
-  }
-
-  dyn::DynGraph g_;
-  Program prog_;
-  dyn::MutationLog log_;
-  dyn::IncrementalEngine<Program> inc_;
-  std::vector<double> values_;
-  bool live_mode_;
-};
-
-// --- stdio transport (single implicit connection, synchronous) -------------
-
-template <typename Program>
-int serve_stdio(Session<Program>& session) {
-  std::cout << session.ready_line() << '\n' << std::flush;
-  std::string line;
-  bool quit = false;
-  dyn::WireCounters wire;  // stdio is one implicit newline-JSON connection
-  wire.conns_json = 1;
-  while (!quit && std::getline(std::cin, line)) {
-    wire.bytes_in += line.size() + 1;
-    if (line.empty() || line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    dyn::WireMessage msg;
-    std::string err;
-    std::string reply;
-    if (!parse_wire(line, msg, &err)) {
-      reply = error_reply("parse: " + err);
-      ++wire.parse_errors;
-    } else {
-      reply = session.handle(msg, quit, wire);
-    }
-    wire.bytes_out += reply.size() + 1;
-    std::cout << reply << '\n' << std::flush;
-  }
-  return 0;
-}
-
-// --- Multiplexed unix-socket server ----------------------------------------
-
-using tier::set_nonblocking;
-
-/// poll()-driven server: N concurrent clients, per-client input buffers and
-/// strictly in-order reply queues, one background worker thread running
-/// apply_epoch. Single-threaded event loop; the worker touches nothing but
-/// the Session's run_epoch_on_worker (handed exactly one sealed batch at a
-/// time) and signals completion through a self-pipe.
-///
-/// Each client is a tier::LineConn: it starts in newline-JSON and may
-/// upgrade to bin1 frames with {"op":"hello","proto":"bin1"}; after the ok
-/// line both directions speak frames (docs/DYNAMIC.md). JSON and binary
-/// clients coexist on the same loop — protocol is per-connection state, and
-/// every command keeps the same epoch-barrier semantics on both transports.
-template <typename Program>
-class SocketServer {
- public:
-  SocketServer(Session<Program>& session, const ServeConfig& cfg)
-      : session_(session), cfg_(cfg), path_(cfg.socket_path) {
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path_.size() >= sizeof(addr.sun_path)) {
-      ::close(listen_fd_);
-      throw std::runtime_error("socket path too long: " + path_);
-    }
-    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(path_.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 16) != 0) {
-      ::close(listen_fd_);
-      throw std::runtime_error("bind/listen failed on " + path_);
-    }
-    set_nonblocking(listen_fd_);
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      ::close(listen_fd_);
-      throw std::runtime_error("pipe() failed");
-    }
-    wake_r_ = pipe_fds[0];
-    wake_w_ = pipe_fds[1];
-    set_nonblocking(wake_r_);
-    set_nonblocking(wake_w_);
-    greeting_ = session_.ready_line();
-    worker_ = std::thread([this] { worker_main(); });
-  }
-
-  ~SocketServer() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      worker_stop_ = true;
-    }
-    cv_.notify_one();
-    worker_.join();
-    for (auto& [id, c] : clients_) c.conn.close_fd();
-    if (wake_r_ >= 0) ::close(wake_r_);
-    if (wake_w_ >= 0) ::close(wake_w_);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    ::unlink(path_.c_str());
-  }
-
-  SocketServer(const SocketServer&) = delete;
-  SocketServer& operator=(const SocketServer&) = delete;
-
-  int run() {
-    std::vector<pollfd> pfds;
-    std::vector<std::uint64_t> pfd_client;  // parallel to pfds, 0 = not client
-    while (!exit_ready()) {
-      pfds.clear();
-      pfd_client.clear();
-      pfds.push_back({wake_r_, POLLIN, 0});
-      pfd_client.push_back(0);
-      if (!shutdown_) {
-        pfds.push_back({listen_fd_, POLLIN, 0});
-        pfd_client.push_back(0);
-      }
-      for (auto& [id, c] : clients_) {
-        short events = 0;
-        if (!c.conn.eof && !shutdown_) events |= POLLIN;
-        if (!c.conn.out_buf.empty()) events |= POLLOUT;
-        if (events == 0) continue;
-        pfds.push_back({c.conn.fd, events, 0});
-        pfd_client.push_back(id);
-      }
-      // Commands blocked on a phase transition inside the in-flight epoch
-      // (live queries waiting for kRunning) have no fd to wake us; poll on a
-      // short tick while anything is queued behind the barrier.
-      const int timeout = (inflight_ && any_pending()) ? 5 : -1;
-      const int rc = ::poll(pfds.data(), pfds.size(), timeout);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        std::cerr << "ndg_serve: poll failed: " << std::strerror(errno)
-                  << "\n";
-        return 1;
-      }
-      for (std::size_t i = 0; i < pfds.size(); ++i) {
-        const short re = pfds[i].revents;
-        if (re == 0) continue;
-        if (pfds[i].fd == wake_r_) {
-          drain_wake_pipe();
-        } else if (pfds[i].fd == listen_fd_) {
-          accept_clients();
-        } else if (auto it = clients_.find(pfd_client[i]);
-                   it != clients_.end()) {
-          Client& c = it->second;
-          if ((re & (POLLIN | POLLHUP | POLLERR)) != 0) c.conn.read_input();
-          if ((re & POLLOUT) != 0) c.conn.flush();
-        }
-      }
-      pump_all();
-      reap_closed();
-    }
-    // Shutdown: make a last effort to hand the issuer its bye reply.
-    if (auto it = clients_.find(shutdown_client_); it != clients_.end()) {
-      it->second.conn.flush();
-    }
-    return 0;
-  }
-
- private:
-  struct Client {
-    tier::LineConn conn;
-    bool awaiting_epoch = false;  // this client's recompute is in flight
-  };
-
-  // --- Worker thread ---
-
-  void worker_main() {
-    for (;;) {
-      dyn::MutationBatch batch;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [this] { return worker_stop_ || job_ready_; });
-        if (worker_stop_) return;
-        batch = std::move(job_batch_);
-        job_ready_ = false;
-      }
-      dyn::EpochResult r = session_.run_epoch_on_worker(batch);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        done_result_ = r;
-        done_ready_ = true;
-      }
-      // Self-pipe wakeup; a full pipe already guarantees a pending wake.
-      const char b = 1;
-      while (::write(wake_w_, &b, 1) < 0 && errno == EINTR) {
-      }
-    }
-  }
-
-  void drain_wake_pipe() {
-    char buf[64];
-    while (::read(wake_r_, buf, sizeof buf) > 0) {
-    }
-    bool have_done = false;
-    dyn::EpochResult r;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (done_ready_) {
-        r = done_result_;
-        done_ready_ = false;
-        have_done = true;
-      }
-    }
-    if (!have_done) return;
-    // Worker is idle again: safe to compact and refresh the cache here.
-    const dyn::EpochResult res = session_.finish_epoch(std::move(r));
-    inflight_ = false;
-    if (auto it = clients_.find(inflight_client_); it != clients_.end()) {
-      Client& c = it->second;
-      c.awaiting_epoch = false;
-      if (c.conn.proto == dyn::WireProto::kBin) {
-        c.conn.queue_frame(
-            dyn::FrameType::kRecomputeReply,
-            dyn::encode_recompute_reply(session_.recompute_bin(res)));
-        c.conn.flush();
-      } else {
-        queue_reply(c, session_.recompute_reply(res));
-      }
-    }
-    inflight_client_ = 0;
-  }
-
-  // --- Event-loop plumbing ---
-
-  void accept_clients() {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient error: try again on the next POLLIN
-      }
-      set_nonblocking(fd);
-      const std::uint64_t id = ++next_client_id_;
-      Client& c = clients_[id];
-      c.conn.fd = fd;
-      queue_reply(c, greeting_);
-    }
-  }
-
-  void queue_reply(Client& c, const std::string& reply) {
-    c.conn.queue_line(reply);
-  }
-
-  /// Binary protocol error reply: framing is intact (the frame was complete,
-  /// its payload just failed to decode), so the connection survives — exactly
-  /// like a JSON parse error on the line transport.
-  void frame_error(Client& c, std::string_view what) {
-    ++parse_errors_;
-    c.conn.queue_frame(dyn::FrameType::kError, what);
-  }
-
-  /// Server-wide transport counters: live connections scanned in place,
-  /// closed ones remembered in closed_wire_ at reap time.
-  [[nodiscard]] dyn::WireCounters wire_totals() const {
-    dyn::WireCounters w = closed_wire_;
-    w.parse_errors = parse_errors_;
-    for (const auto& [id, c] : clients_) {
-      w.bytes_in += c.conn.bytes_in;
-      w.bytes_out += c.conn.bytes_out;
-      if (c.conn.proto == dyn::WireProto::kBin) {
-        ++w.conns_bin;
-      } else {
-        ++w.conns_json;
-      }
-    }
-    return w;
-  }
-
-  [[nodiscard]] bool any_pending() const {
-    for (const auto& [id, c] : clients_) {
-      if ((!c.conn.pending.empty() || !c.conn.frames.empty()) &&
-          !c.awaiting_epoch && !c.conn.draining) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void pump_all() {
-    for (auto& [id, c] : clients_) pump(id, c);
-  }
-
-  /// Executes the client's queued commands strictly in order, stopping at
-  /// the first one that must wait for the in-flight epoch. Replies are
-  /// appended to the client's out queue in execution order, so each client
-  /// sees exactly one reply per command, in the order it sent them. A hello
-  /// upgrade mid-pump switches the same pass from lines to frames; binary
-  /// replies are queued without flushing and drained once at the end
-  /// (writev-style — one syscall per pump pass, not per reply).
-  void pump(std::uint64_t id, Client& c) {
-    if (c.conn.proto == dyn::WireProto::kJson) pump_lines(id, c);
-    if (c.conn.proto == dyn::WireProto::kBin) pump_frames(id, c);
-    c.conn.flush();
-  }
-
-  void pump_lines(std::uint64_t id, Client& c) {
-    while (!c.awaiting_epoch && !c.conn.draining && !c.conn.broken &&
-           !c.conn.pending.empty()) {
-      const std::string& line = c.conn.pending.front();
-      if (line.empty() ||
-          line.find_first_not_of(" \t\r") == std::string::npos) {
-        c.conn.pending.pop_front();
-        continue;
-      }
-      dyn::WireMessage msg;
-      std::string err;
-      if (!parse_wire(line, msg, &err)) {
-        ++parse_errors_;
-        queue_reply(c, error_reply("parse: " + err));
-        c.conn.pending.pop_front();
-        continue;
-      }
-      std::string op;
-      if (!msg.get_string("op", op)) {
-        queue_reply(c, error_reply("missing field: op"));
-        c.conn.pending.pop_front();
-        continue;
-      }
-      if (op == "hello") {
-        std::string proto;
-        if (!msg.get_string("proto", proto)) {
-          queue_reply(c, error_reply("hello: missing field: proto"));
-          c.conn.pending.pop_front();
-          continue;
-        }
-        if (proto != dyn::kBinProtoName) {
-          queue_reply(c, error_reply("hello: unknown proto: " + proto));
-          c.conn.pending.pop_front();
-          continue;
-        }
-        queue_reply(c, dyn::WireWriter()
-                           .boolean("ok", true)
-                           .str("proto", dyn::kBinProtoName)
-                           .finish());
-        c.conn.pending.pop_front();
-        // Replays any frame bytes the client pipelined behind the hello;
-        // pump() falls through to pump_frames for them.
-        c.conn.upgrade_to_bin();
-        return;
-      }
-      if (op == "mutate") {
-        queue_reply(c, session_.handle_mutate(msg));
-        c.conn.pending.pop_front();
-        continue;
-      }
-      if (op == "query") {
-        if (!inflight_) {
-          queue_reply(c, session_.query_reply(msg));
-          c.conn.pending.pop_front();
-          continue;
-        }
-        if (cfg_.live_queries && Session<Program>::live_capable() &&
-            session_.engine_running()) {
-          queue_reply(c, session_.live_query_reply(msg, inflight_epoch_));
-          c.conn.pending.pop_front();
-          continue;
-        }
-        break;  // barrier: answered at the next quiescent point
-      }
-      if (op == "recompute") {
-        if (inflight_) break;  // one epoch at a time; wait our turn
-        c.conn.pending.pop_front();
-        start_epoch(id, c);
-        continue;  // loop exits via awaiting_epoch
-      }
-      if (op == "stats") {
-        if (inflight_) break;  // counters quiesce with the epoch
-        queue_reply(c, session_.stats_reply(wire_totals()));
-        c.conn.pending.pop_front();
-        continue;
-      }
-      if (op == "quit") {
-        queue_reply(c, Session<Program>::bye_reply());
-        c.conn.pending.pop_front();
-        c.conn.draining = true;  // quit is scoped to THIS connection...
-        if (cfg_.allow_shutdown) {  // ...unless the operator opted in
-          shutdown_ = true;
-          shutdown_client_ = id;
-        }
-        break;
-      }
-      queue_reply(c, error_reply("unknown op: " + op));
-      c.conn.pending.pop_front();
-    }
-  }
-
-  /// Frame dispatch mirrors pump_lines op for op: same epoch barrier (query/
-  /// recompute/stats wait, mutate/mbatch/quit answer immediately), same
-  /// in-order reply guarantee. Barrier waits `return` WITHOUT popping the
-  /// frame; handled frames fall out of the switch and are popped below.
-  void pump_frames(std::uint64_t id, Client& c) {
-    while (!c.awaiting_epoch && !c.conn.draining && !c.conn.broken &&
-           !c.conn.frames.empty()) {
-      const dyn::Frame& f = c.conn.frames.front();
-      std::string err;
-      switch (f.type) {
-        case dyn::FrameType::kMutate: {
-          dyn::Mutation m;
-          if (!dyn::decode_mutate(f.payload, m, &err)) {
-            frame_error(c, err);
-            break;
-          }
-          c.conn.queue_frame(
-              dyn::FrameType::kMutateAck,
-              dyn::encode_mutate_ack(session_.append_mutation(m)));
-          break;
-        }
-        case dyn::FrameType::kMBatch: {
-          std::vector<dyn::Mutation> ms;
-          if (!dyn::decode_mbatch(f.payload, ms, &err)) {
-            frame_error(c, err);
-            break;
-          }
-          const std::uint64_t pending = session_.append_mutations(ms);
-          c.conn.queue_frame(
-              dyn::FrameType::kMBatchAck,
-              dyn::encode_mbatch_ack(static_cast<std::uint32_t>(ms.size()),
-                                     pending));
-          break;
-        }
-        case dyn::FrameType::kQuery: {
-          std::uint64_t v = 0;
-          if (!dyn::decode_query(f.payload, v, &err)) {
-            frame_error(c, err);
-            break;
-          }
-          if (v >= session_.num_values()) {
-            frame_error(c,
-                        "query: vertex out of range: " + std::to_string(v));
-            break;
-          }
-          dyn::QueryReplyBin qr;
-          qr.vertex = v;
-          if (!inflight_) {
-            qr.has_quiescent = session_.live_mode();
-            qr.quiescent = true;
-            qr.value = session_.quiescent_value(v);
-            qr.epoch = session_.epoch();
-          } else if (cfg_.live_queries && Session<Program>::live_capable() &&
-                     session_.engine_running()) {
-            qr.has_quiescent = true;
-            qr.quiescent = false;
-            qr.value = session_.live_value(static_cast<VertexId>(v));
-            qr.epoch = inflight_epoch_;
-          } else {
-            return;  // barrier: answered at the next quiescent point
-          }
-          c.conn.queue_frame(dyn::FrameType::kQueryReply,
-                             dyn::encode_query_reply(qr));
-          break;
-        }
-        case dyn::FrameType::kRecompute: {
-          if (inflight_) return;  // one epoch at a time; wait our turn
-          start_epoch(id, c);
-          break;  // pop the frame; loop exits via awaiting_epoch
-        }
-        case dyn::FrameType::kStats: {
-          if (inflight_) return;  // counters quiesce with the epoch
-          c.conn.queue_frame(dyn::FrameType::kJson,
-                             session_.stats_reply(wire_totals()));
-          break;
-        }
-        case dyn::FrameType::kQuit: {
-          c.conn.queue_frame(dyn::FrameType::kBye, {});
-          c.conn.draining = true;
-          if (cfg_.allow_shutdown) {
-            shutdown_ = true;
-            shutdown_client_ = id;
-          }
-          break;
-        }
-        default:
-          frame_error(c, "unexpected frame type: " +
-                             std::to_string(static_cast<unsigned>(f.type)));
-          break;
-      }
-      c.conn.frames.pop_front();
-    }
-  }
-
-  /// Seals the pending tail and hands it to the worker on behalf of `c`.
-  void start_epoch(std::uint64_t id, Client& c) {
-    dyn::MutationBatch batch = session_.seal_batch();
-    inflight_ = true;
-    inflight_client_ = id;
-    inflight_epoch_ = batch.epoch;
-    c.awaiting_epoch = true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job_batch_ = std::move(batch);
-      job_ready_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  void reap_closed() {
-    for (auto it = clients_.begin(); it != clients_.end();) {
-      Client& c = it->second;
-      const bool drained = c.conn.draining && c.conn.out_buf.empty();
-      const bool finished = c.conn.eof && c.conn.pending.empty() &&
-                            c.conn.frames.empty() &&
-                            c.conn.out_buf.empty() && !c.awaiting_epoch;
-      if (c.conn.broken || drained || finished) {
-        // Byte totals outlive the connection (stats stays cumulative).
-        closed_wire_.bytes_in += c.conn.bytes_in;
-        closed_wire_.bytes_out += c.conn.bytes_out;
-        c.conn.close_fd();
-        it = clients_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// The loop ends once a sanctioned shutdown has no epoch in flight and the
-  /// issuer's bye line is flushed (or the issuer is already gone).
-  [[nodiscard]] bool exit_ready() const {
-    if (!shutdown_ || inflight_) return false;
-    const auto it = clients_.find(shutdown_client_);
-    return it == clients_.end() || it->second.conn.out_buf.empty();
-  }
-
-  Session<Program>& session_;
-  ServeConfig cfg_;
-  std::string path_;
-  std::string greeting_;
-  int listen_fd_ = -1;
-  int wake_r_ = -1;
-  int wake_w_ = -1;
-  std::map<std::uint64_t, Client> clients_;
-  std::uint64_t next_client_id_ = 0;
-  dyn::WireCounters closed_wire_;   // byte totals of reaped connections
-  std::uint64_t parse_errors_ = 0;  // JSON lines + frame payloads that failed
-
-  // In-flight epoch bookkeeping (event-loop thread only).
-  bool inflight_ = false;
-  std::uint64_t inflight_client_ = 0;
-  std::uint64_t inflight_epoch_ = 0;
-  bool shutdown_ = false;
-  std::uint64_t shutdown_client_ = 0;
-
-  // Worker handshake (guarded by mu_).
-  std::thread worker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool worker_stop_ = false;
-  bool job_ready_ = false;
-  dyn::MutationBatch job_batch_;
-  bool done_ready_ = false;
-  dyn::EpochResult done_result_;
-};
-
-template <typename Program>
-int serve(Graph base, Program prog, const ServeConfig& cfg) {
-  dyn::DynGraphOptions gopts;
-  gopts.compact_threshold = cfg.compact_threshold;
-  gopts.mem = cfg.engine_opts.mem;
-  if constexpr (std::is_same_v<Program, SsspProgram>) {
-    // Base edges keep the paper's hash-derived weights so the serve results
-    // match the static engines' on the unmutated graph.
-    const std::uint64_t seed = prog.weight_seed();
-    gopts.base_weight = [seed](EdgeId e) {
-      return SsspProgram::edge_weight(seed, e);
-    };
-  }
-  Session<Program> session(dyn::DynGraph(std::move(base), gopts),
-                           std::move(prog), cfg);
-  if (cfg.socket_path.empty()) return serve_stdio(session);
-  SocketServer<Program> server(session, cfg);
-  return server.run();
-}
-
-Graph load_any(const std::string& path) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".ndgb") == 0) {
-    return load_binary_graph(path);
-  }
-  auto loaded = load_edge_list(path);
-  return Graph::build(loaded.num_vertices, std::move(loaded.edges));
-}
-
-Graph build_base_graph(const CliArgs& args) {
-  if (args.has("graph")) return load_any(args.get("graph", ""));
-  const std::string kind = args.get("kind", "rmat");
-  // Width matters: the default edge count is 8x the vertex count and must be
-  // computed in 64-bit (8 * a 32-bit n overflows past ~536M vertices).
-  const std::int64_t n_raw = args.get_int("vertices", 1024);
-  const auto n = static_cast<VertexId>(n_raw);
-  const auto m = static_cast<EdgeId>(args.get_int("edges", 8 * n_raw));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  EdgeList edges;
-  if (kind == "rmat") {
-    edges = gen::rmat(n, m, seed);
-  } else if (kind == "er") {
-    edges = gen::erdos_renyi(n, m, seed);
-  } else if (kind == "chain") {
-    edges = gen::chain(n);
-  } else {
-    throw std::runtime_error("unknown --kind: " + kind +
-                             " (expected rmat|er|chain)");
-  }
-  if (args.get_bool("symmetrize", false)) edges = symmetrize(edges);
-  return Graph::build(n, edges);
-}
-
-int serve_main(const CliArgs& args) {
-  ServeConfig cfg;
-  cfg.engine_opts.num_threads =
-      static_cast<std::size_t>(args.get_int("threads", 4));
-  cfg.engine_opts.max_iterations =
-      static_cast<std::size_t>(args.get_int("max-iterations", 100000));
-  cfg.engine_opts.mode = parse_mode(args.get("mode", "relaxed"));
-  cfg.compact_threshold = args.get_double("compact-threshold", 0.25);
-  cfg.socket_path = args.get("socket", "");
-  cfg.live_queries = args.get_bool("live-queries", false);
-  cfg.allow_shutdown = args.get_bool("allow-shutdown", false);
-  cfg.epoch_hold_ms =
-      static_cast<std::uint32_t>(args.get_int("epoch-hold-ms", 0));
-
-  const auto gate = parse_gate(args.get("gate", "analyze"));
-  if (!gate) {
-    std::cerr << "unknown --gate (expected analyze|static|theorem1|theorem2|"
-                 "ineligible)\n";
-    return 1;
-  }
-  cfg.gate = *gate;
-  const std::string engine = args.get("engine", "ne");
-  if (engine == "async") {
-    cfg.engine = dyn::DynEngine::kPureAsync;
-  } else if (engine == "ne") {
-    cfg.engine = dyn::DynEngine::kNE;
-  } else {
-    std::cerr << "unknown --engine (expected ne|async)\n";
-    return 1;
-  }
-
-  Graph base = build_base_graph(args);
-  const std::string algo = args.get("algo", "pagerank");
-  if (algo == "pagerank") {
-    return serve(std::move(base),
-                 PageRankProgram(static_cast<float>(
-                     args.get_double("eps", 1e-4))),
-                 cfg);
-  }
-  if (algo == "sssp") {
-    return serve(std::move(base),
-                 SsspProgram(static_cast<VertexId>(args.get_int("source", 0)),
-                             static_cast<std::uint64_t>(
-                                 args.get_int("weight-seed", 42))),
-                 cfg);
-  }
-  if (algo == "wcc") return serve(std::move(base), WccProgram(), cfg);
-  if (algo == "pagerank-push-atomic") {
-    // Ineligible exhibit: analyzes to kNotProven, so every epoch goes cold.
-    // No live_value hook either: in --live-queries mode its mid-recompute
-    // queries degrade to the quiescent barrier instead of racing.
-    return serve(std::move(base),
-                 AtomicPushPageRankProgram(static_cast<float>(
-                     args.get_double("eps", 1e-4))),
-                 cfg);
-  }
-  std::cerr << "unknown --algo: " << algo
-            << " (expected pagerank|sssp|wcc|pagerank-push-atomic)\n";
-  return 1;
-}
-
-}  // namespace
-}  // namespace ndg
+#include "serve_launch.hpp"
 
 int main(int argc, char** argv) {
+  using namespace ndg;
   // A client vanishing mid-write must not kill the server.
   std::signal(SIGPIPE, SIG_IGN);
   // No subcommand word: flags start at argv[1], which CliArgs's loop skips
   // past argv[0] on its own.
-  ndg::CliArgs args(argc, argv);
+  const CliArgs args(argc, argv);
   try {
-    return ndg::serve_main(args);
+    launch::LaunchConfig cfg =
+        launch::parse_launch_flags(args, /*default_threads=*/4,
+                                   /*default_compact_threshold=*/0.25);
+    cfg.coord.client_socket = args.get("socket", "");
+    cfg.coord.stop = args.get_bool("allow-shutdown", false)
+                         ? tier::StopOp::kQuit
+                         : tier::StopOp::kNone;
+    // No replica ever reads the replication history here; keep the minimum.
+    cfg.coord.history = 1;
+    return launch::with_program</*kWithExhibit=*/true>(
+        args, [&](Graph base, auto prog) {
+          return launch::run_coordinator(std::move(base), std::move(prog),
+                                         cfg);
+        });
   } catch (const std::exception& e) {
     std::cerr << "ndg_serve: " << e.what() << "\n";
     return 1;

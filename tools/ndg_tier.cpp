@@ -21,10 +21,12 @@
 // past the coordinator's bounded history (--history=M records) and force
 // the snapshot path. --chaos=stale:<records> instead applies records at full
 // speed but serves reads from a state up to that many records old (bounded
-// per-record staleness; docs/DELAY.md). The old --chaos-lag-ms=N flag still
-// works as a deprecated alias for --chaos=hold:N. --role=replica --id=K is
-// the internal re-entry used by the forked children; it is not meant to be
-// invoked by hand.
+// per-record staleness; docs/DELAY.md). --role=replica --id=K is the
+// internal re-entry used by the forked children; it is not meant to be
+// invoked by hand. The coordinator is the same front-end ndg_serve launches
+// and reads the same flag table (tools/serve_launch.hpp, defaults
+// --threads=2, --compact-threshold=0.5); clients stop the tier with the
+// `shutdown` op.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,23 +39,17 @@
 #include <utility>
 #include <vector>
 
-#include "nondetgraph.hpp"
-#include "tier/coordinator.hpp"
+#include "serve_launch.hpp"
 #include "tier/replica.hpp"
-#include "util/cli.hpp"
 
 namespace ndg {
 namespace {
 
 struct TierConfig {
-  dyn::GateMode gate = dyn::GateMode::kAnalyze;
-  dyn::DynEngine engine = dyn::DynEngine::kNE;
-  EngineOptions engine_opts;
-  double compact_threshold = 0.5;
+  launch::LaunchConfig common;
   std::string dir;
   std::size_t replicas = 2;
-  std::size_t history = 64;
-  std::uint32_t chaos_lag_ms = 0;
+  std::uint32_t chaos_hold_ms = 0;
   std::uint32_t chaos_stale_records = 0;
   /// Replication transport per replica: "json" (default), "bin" (every
   /// replica negotiates bin1), or "mixed" (even ids binary, odd ids JSON —
@@ -68,157 +64,45 @@ bool replica_is_binary(const TierConfig& cfg, std::size_t id) {
   return false;
 }
 
-AtomicityMode parse_mode(const std::string& s) {
-  if (s == "locked") return AtomicityMode::kLocked;
-  if (s == "aligned") return AtomicityMode::kAligned;
-  if (s == "seq_cst") return AtomicityMode::kSeqCst;
-  return AtomicityMode::kRelaxed;
-}
-
-dyn::GateMode parse_gate_or_throw(const std::string& s) {
-  if (s == "analyze") return dyn::GateMode::kAnalyze;
-  if (s == "static") return dyn::GateMode::kStatic;
-  if (s == "theorem1") return dyn::GateMode::kAssumeTheorem1;
-  if (s == "theorem2") return dyn::GateMode::kAssumeTheorem2;
-  if (s == "ineligible") return dyn::GateMode::kAssumeIneligible;
-  throw std::runtime_error(
-      "unknown --gate (expected analyze|static|theorem1|theorem2|"
-      "ineligible)");
-}
-
-Graph load_any(const std::string& path) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".ndgb") == 0) {
-    return load_binary_graph(path);
-  }
-  auto loaded = load_edge_list(path);
-  return Graph::build(loaded.num_vertices, std::move(loaded.edges));
-}
-
-/// Deterministic in the flags alone — every process of the tier calls this
-/// with identical argv and gets a bit-identical base graph, which is what
-/// lets replicas start at seq 0 without an initial snapshot.
-Graph build_base_graph(const CliArgs& args) {
-  if (args.has("graph")) return load_any(args.get("graph", ""));
-  const std::string kind = args.get("kind", "rmat");
-  const std::int64_t n_raw = args.get_int("vertices", 1024);
-  const auto n = static_cast<VertexId>(n_raw);
-  const auto m = static_cast<EdgeId>(args.get_int("edges", 8 * n_raw));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  EdgeList edges;
-  if (kind == "rmat") {
-    edges = gen::rmat(n, m, seed);
-  } else if (kind == "er") {
-    edges = gen::erdos_renyi(n, m, seed);
-  } else if (kind == "chain") {
-    edges = gen::chain(n);
-  } else {
-    throw std::runtime_error("unknown --kind: " + kind +
-                             " (expected rmat|er|chain)");
-  }
-  if (args.get_bool("symmetrize", false)) edges = symmetrize(edges);
-  return Graph::build(n, edges);
-}
-
-template <typename Program>
-dyn::DynGraphOptions make_graph_opts(const Program& prog,
-                                     const TierConfig& cfg) {
-  dyn::DynGraphOptions gopts;
-  gopts.compact_threshold = cfg.compact_threshold;
-  gopts.mem = cfg.engine_opts.mem;
-  if constexpr (std::is_same_v<Program, SsspProgram>) {
-    const std::uint64_t seed = prog.weight_seed();
-    gopts.base_weight = [seed](EdgeId e) {
-      return SsspProgram::edge_weight(seed, e);
-    };
-  }
-  return gopts;
-}
-
-template <typename Program>
-int run_coordinator(Graph base, Program prog, const TierConfig& cfg) {
-  dyn::DynGraphOptions gopts = make_graph_opts(prog, cfg);
-  dyn::DynGraph g(std::move(base), gopts);
-  dyn::EligibilityGate gate =
-      dyn::EligibilityGate::make(cfg.gate, g.base(), prog);
-  tier::CoordinatorOptions copts;
-  copts.dir = cfg.dir;
-  copts.history = cfg.history;
-  // The launcher forks the replicas into this same process's child set, so
-  // the coordinator loop is the right place to reap them: a replica that
-  // dies mid-stream is collected promptly (and fails the run) instead of
-  // sitting as a zombie behind a dead socket until shutdown.
-  copts.reap_children = true;
-  tier::Coordinator<Program> coord(std::move(g), std::move(prog),
-                                   std::move(gate), cfg.engine_opts,
-                                   cfg.engine, copts);
-  return coord.run();
-}
-
 template <typename Program>
 int run_replica(Graph base, Program prog, const TierConfig& cfg,
                 std::size_t id) {
-  dyn::DynGraphOptions gopts = make_graph_opts(prog, cfg);
+  dyn::DynGraphOptions gopts = launch::make_graph_opts(prog, cfg.common);
   dyn::DynGraph g(std::move(base), gopts);
   dyn::EligibilityGate gate =
-      dyn::EligibilityGate::make(cfg.gate, g.base(), prog);
+      dyn::EligibilityGate::make(cfg.common.gate, g.base(), prog);
   tier::ReplicaOptions ropts;
   ropts.id = id;
   ropts.dir = cfg.dir;
-  ropts.chaos_lag_ms = cfg.chaos_lag_ms;
+  ropts.chaos_hold_ms = cfg.chaos_hold_ms;
   ropts.chaos_stale_records = cfg.chaos_stale_records;
   ropts.binary = replica_is_binary(cfg, id);
   tier::Replica<Program> rep(std::move(g), std::move(prog), std::move(gate),
-                             cfg.engine_opts, cfg.engine, std::move(gopts),
-                             ropts);
+                             cfg.common.engine_opts, cfg.common.engine,
+                             std::move(gopts), ropts);
   return rep.run();
 }
 
-/// Runs `role` under the program the --algo flag selects. The coordinator
-/// and every replica resolve the same flags to the same program config, so
-/// all processes agree on the algorithm, its parameters, and (for SSSP) the
-/// hash-derived base weights.
-template <typename RoleFn>
-int with_program(const CliArgs& args, const TierConfig& cfg, RoleFn&& role) {
-  Graph base = build_base_graph(args);
-  const std::string algo = args.get("algo", "pagerank");
-  if (algo == "pagerank") {
-    return role(std::move(base),
-                PageRankProgram(
-                    static_cast<float>(args.get_double("eps", 1e-4))),
-                cfg);
-  }
-  if (algo == "sssp") {
-    return role(
-        std::move(base),
-        SsspProgram(static_cast<VertexId>(args.get_int("source", 0)),
-                    static_cast<std::uint64_t>(
-                        args.get_int("weight-seed", 42))),
-        cfg);
-  }
-  if (algo == "wcc") return role(std::move(base), WccProgram(), cfg);
-  throw std::runtime_error("unknown --algo: " + algo +
-                           " (expected pagerank|sssp|wcc)");
+/// Runs replica `id`; the coordinator and every replica resolve the same
+/// flags to the same program config, so all processes agree on the
+/// algorithm, its parameters, and (for SSSP) the hash-derived base weights.
+int replica_main(const CliArgs& args, const TierConfig& cfg, std::size_t id) {
+  return launch::with_program(args, [&](Graph b, auto prog) {
+    return run_replica(std::move(b), std::move(prog), cfg, id);
+  });
 }
 
 int tier_main(const CliArgs& args) {
   TierConfig cfg;
-  cfg.engine_opts.num_threads =
-      static_cast<std::size_t>(args.get_int("threads", 2));
-  cfg.engine_opts.max_iterations =
-      static_cast<std::size_t>(args.get_int("max-iterations", 100000));
-  cfg.engine_opts.mode = parse_mode(args.get("mode", "relaxed"));
-  cfg.compact_threshold = args.get_double("compact-threshold", 0.5);
-  cfg.gate = parse_gate_or_throw(args.get("gate", "analyze"));
+  cfg.common = launch::parse_launch_flags(args, /*default_threads=*/2,
+                                          /*default_compact_threshold=*/0.5);
   cfg.dir = args.get("dir", "");
   cfg.replicas = static_cast<std::size_t>(args.get_int("replicas", 2));
-  cfg.history = static_cast<std::size_t>(args.get_int("history", 64));
-  if (args.has("chaos-lag-ms")) {
-    // Deprecated spelling, kept as an alias so existing harnesses survive.
-    std::cerr << "ndg_tier: --chaos-lag-ms is deprecated; use "
-                 "--chaos=hold:<ms>\n";
-    cfg.chaos_lag_ms =
-        static_cast<std::uint32_t>(args.get_int("chaos-lag-ms", 0));
-  }
+  tier::CoordinatorOptions& copts = cfg.common.coord;
+  copts.client_socket = tier::coord_sock(cfg.dir);
+  copts.rep_socket = tier::rep_sock(cfg.dir);
+  copts.history = static_cast<std::size_t>(args.get_int("history", 64));
+  copts.stop = tier::StopOp::kShutdown;
   if (args.has("chaos")) {
     const std::string chaos = args.get("chaos", "");
     const auto colon = chaos.find(':');
@@ -226,7 +110,7 @@ int tier_main(const CliArgs& args) {
     const std::string val =
         colon == std::string::npos ? "" : chaos.substr(colon + 1);
     if (mode == "hold" && !val.empty()) {
-      cfg.chaos_lag_ms = static_cast<std::uint32_t>(std::stoul(val));
+      cfg.chaos_hold_ms = static_cast<std::uint32_t>(std::stoul(val));
     } else if (mode == "stale" && !val.empty()) {
       cfg.chaos_stale_records = static_cast<std::uint32_t>(std::stoul(val));
     } else {
@@ -238,14 +122,6 @@ int tier_main(const CliArgs& args) {
   if (cfg.proto != "json" && cfg.proto != "bin" && cfg.proto != "mixed") {
     throw std::runtime_error("unknown --proto (expected json|bin|mixed)");
   }
-  const std::string engine = args.get("engine", "ne");
-  if (engine == "async") {
-    cfg.engine = dyn::DynEngine::kPureAsync;
-  } else if (engine == "ne") {
-    cfg.engine = dyn::DynEngine::kNE;
-  } else {
-    throw std::runtime_error("unknown --engine (expected ne|async)");
-  }
   if (cfg.dir.empty()) {
     throw std::runtime_error("--dir=PATH is required (socket directory)");
   }
@@ -253,11 +129,7 @@ int tier_main(const CliArgs& args) {
   const std::string role = args.get("role", "launch");
   if (role == "replica") {
     const auto id = static_cast<std::size_t>(args.get_int("id", 0));
-    return with_program(args, cfg,
-                        [id](Graph b, auto prog, const TierConfig& c) {
-                          return run_replica(std::move(b), std::move(prog),
-                                             c, id);
-                        });
+    return replica_main(args, cfg, id);
   }
   if (role != "launch" && role != "coordinator") {
     throw std::runtime_error("unknown --role (expected launch|replica)");
@@ -274,11 +146,7 @@ int tier_main(const CliArgs& args) {
     if (pid == 0) {
       int rc = 1;
       try {
-        rc = with_program(args, cfg,
-                          [k](Graph b, auto prog, const TierConfig& c) {
-                            return run_replica(std::move(b),
-                                               std::move(prog), c, k);
-                          });
+        rc = replica_main(args, cfg, k);
       } catch (const std::exception& e) {
         std::cerr << "ndg_tier: replica " << k << ": " << e.what() << "\n";
       }
@@ -289,11 +157,10 @@ int tier_main(const CliArgs& args) {
 
   int rc = 1;
   try {
-    rc = with_program(args, cfg,
-                      [](Graph b, auto prog, const TierConfig& c) {
-                        return run_coordinator(std::move(b),
-                                               std::move(prog), c);
-                      });
+    rc = launch::with_program(args, [&](Graph b, auto prog) {
+      return launch::run_coordinator(std::move(b), std::move(prog),
+                                     cfg.common);
+    });
   } catch (const std::exception& e) {
     std::cerr << "ndg_tier: coordinator: " << e.what() << "\n";
     for (const pid_t pid : children) ::kill(pid, SIGKILL);
