@@ -38,19 +38,15 @@ EdgeList rmat(VertexId num_vertices, EdgeId num_edges, std::uint64_t seed,
     VertexId src = 0;
     VertexId dst = 0;
     for (int l = 0; l < levels; ++l) {
+      // One draw picks the quadrant: [0, a) neither bit, [a, ab) dst,
+      // [ab, abc) src, [abc, 1) both. Computed without a branch, because
+      // the CPU cannot predict which quadrant a draw lands in.
       const double r = rng.next_double();
-      src <<= 1;
-      dst <<= 1;
-      if (r < opts.a) {
-        // top-left quadrant: neither bit set
-      } else if (r < ab) {
-        dst |= 1;
-      } else if (r < abc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
-      }
+      const bool ge_a = r >= opts.a;
+      const bool ge_ab = r >= ab;
+      const bool ge_abc = r >= abc;
+      src = (src << 1) | static_cast<VertexId>(ge_ab);
+      dst = (dst << 1) | static_cast<VertexId>(ge_a ^ ge_ab ^ ge_abc);
     }
     edges.push_back(Edge{src, dst});
   }

@@ -1,6 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -8,48 +11,90 @@ namespace ndg {
 
 Graph Graph::build(VertexId num_vertices, EdgeList edges,
                    const GraphBuildOptions& opts) {
-  if (opts.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
-  }
-  // Canonical order: (src, dst). This fixes edge ids independent of the
-  // order the loader/generator emitted edges in.
-  std::sort(edges.begin(), edges.end());
-  if (opts.remove_duplicate_edges) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-
+  const std::size_t m = edges.size();
   Graph g;
   g.num_vertices_ = num_vertices;
-  g.num_edges_ = static_cast<EdgeId>(edges.size());
-  // Exact-size arena buffers (zero-initialized), placed per opts.mem. No
-  // incremental growth, so peak memory is one allocation per array.
+  // Every array the Graph keeps is an exact-size arena buffer placed per
+  // opts.mem; the E-sized scratch below is freed before build returns.
   g.out_offsets_ = mem::Buffer<EdgeId>(num_vertices + 1, opts.mem);
   g.in_offsets_ = mem::Buffer<EdgeId>(num_vertices + 1, opts.mem);
-  g.out_targets_ = mem::Buffer<VertexId>(edges.size(), opts.mem);
-  g.in_edges_ = mem::Buffer<InEdge>(edges.size(), opts.mem);
-  g.edge_src_ = mem::Buffer<VertexId>(edges.size(), opts.mem);
 
+  // Degree histograms. Each endpoint is checked before it indexes a bucket.
   for (const Edge& e : edges) {
     NDG_ASSERT_MSG(e.src < num_vertices && e.dst < num_vertices,
                    "edge endpoint out of range");
     ++g.out_offsets_[e.src + 1];
     ++g.in_offsets_[e.dst + 1];
   }
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    g.out_offsets_[v + 1] += g.out_offsets_[v];
-    g.in_offsets_[v + 1] += g.in_offsets_[v];
-  }
+  std::partial_sum(g.out_offsets_.begin(), g.out_offsets_.end(),
+                   g.out_offsets_.begin());
+  std::partial_sum(g.in_offsets_.begin(), g.in_offsets_.end(),
+                   g.in_offsets_.begin());
 
-  // Edges are sorted by (src, dst), so edge id == position in the sorted
-  // list == CSR slot: CSR and the edge-source inverse fill directly with no
-  // per-vertex cursor array. Only CSC needs running cursors.
+  // Canonical order is (src, dst): it fixes edge ids independent of the
+  // order the loader/generator emitted edges in. Two counting passes give
+  // it in O(E + V). First bucket the sources by dst...
+  auto src_by_dst = std::make_unique_for_overwrite<VertexId[]>(m);
   {
-    std::vector<EdgeId> next_in(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-    for (EdgeId id = 0; id < g.num_edges_; ++id) {
-      const Edge& e = edges[id];
-      g.out_targets_[id] = e.dst;
-      g.edge_src_[id] = e.src;
-      g.in_edges_[next_in[e.dst]++] = InEdge{e.src, id};
+    std::vector<EdgeId> next(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+    for (const Edge& e : edges) src_by_dst[next[e.dst]++] = e.src;
+  }
+  edges = EdgeList();
+  // ...then walk the dst buckets in ascending order and append each dst to
+  // its source's row. The pass is stable, so every row comes out sorted by
+  // dst and duplicates sit next to each other.
+  mem::Buffer<VertexId> targets(m, opts.mem);
+  {
+    std::vector<EdgeId> next(g.out_offsets_.begin(), g.out_offsets_.end() - 1);
+    for (VertexId d = 0; d < num_vertices; ++d) {
+      for (EdgeId k = g.in_offsets_[d]; k < g.in_offsets_[d + 1]; ++k) {
+        targets[next[src_by_dst[k]]++] = d;
+      }
+    }
+  }
+  src_by_dst.reset();
+
+  // Drop self-loops and duplicates row by row, compacting in place. A
+  // duplicate is only ever the previous target kept in the same row.
+  EdgeId kept = m;
+  if (opts.remove_self_loops || opts.remove_duplicate_edges) {
+    kept = 0;
+    for (VertexId v = 0; v < num_vertices; ++v) {
+      const EdgeId begin = g.out_offsets_[v];
+      const EdgeId end = g.out_offsets_[v + 1];
+      g.out_offsets_[v] = kept;
+      for (EdgeId k = begin; k < end; ++k) {
+        const VertexId d = targets[k];
+        if (opts.remove_self_loops && d == v) continue;
+        if (opts.remove_duplicate_edges && kept > g.out_offsets_[v] &&
+            targets[kept - 1] == d) {
+          continue;
+        }
+        targets[kept++] = d;
+      }
+    }
+    g.out_offsets_[num_vertices] = kept;
+  }
+  if (kept != m) {
+    targets = targets.resized(kept);
+    std::fill(g.in_offsets_.begin(), g.in_offsets_.end(), EdgeId{0});
+    for (EdgeId id = 0; id < kept; ++id) ++g.in_offsets_[targets[id] + 1];
+    std::partial_sum(g.in_offsets_.begin(), g.in_offsets_.end(),
+                     g.in_offsets_.begin());
+  }
+  g.num_edges_ = kept;
+  g.out_targets_ = std::move(targets);
+
+  // Edge id == CSR slot. Filling the edge-source inverse and the CSC in
+  // ascending id order lists each vertex's in-edges by ascending id.
+  g.in_edges_ = mem::Buffer<InEdge>(kept, opts.mem);
+  g.edge_src_ = mem::Buffer<VertexId>(kept, opts.mem);
+  std::vector<EdgeId> next_in(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    for (EdgeId id = g.out_offsets_[v]; id < g.out_offsets_[v + 1]; ++id) {
+      const VertexId d = g.out_targets_[id];
+      g.edge_src_[id] = v;
+      g.in_edges_[next_in[d]++] = InEdge{v, id};
     }
   }
   return g;

@@ -40,9 +40,11 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds CSR+CSC from an edge list. Edges are canonicalized (sorted by
-  /// (src, dst)) so the same edge list always yields the same edge ids.
-  /// `num_vertices` must exceed every endpoint id.
+  /// Builds CSR+CSC from an edge list in O(E + V). Edges are canonicalized
+  /// to (src, dst) order by two stable counting passes (bucket by dst, then
+  /// by src), so the same edge list always yields the same edge ids.
+  /// `num_vertices` must exceed every endpoint id, self-loops included;
+  /// an out-of-range endpoint aborts before any bucket is indexed.
   static Graph build(VertexId num_vertices, EdgeList edges,
                      const GraphBuildOptions& opts = {});
 

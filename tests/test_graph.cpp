@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ostream>
 #include <set>
 
 #include "graph/datasets.hpp"
@@ -11,6 +13,7 @@
 #include "graph/graph.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/loader.hpp"
+#include "util/rng.hpp"
 
 namespace ndg {
 namespace {
@@ -101,6 +104,178 @@ TEST(Graph, SymmetrizeDoublesEdges) {
   const Graph g = Graph::build(3, sym);
   EXPECT_EQ(g.out_degree(1), 2u);
   EXPECT_EQ(g.in_degree(1), 2u);
+}
+
+TEST(GraphDeathTest, BuildRejectsOutOfRangeEndpoint) {
+  // The check must run before an endpoint indexes a degree bucket: the
+  // counting passes would otherwise write out of bounds.
+  EXPECT_DEATH(Graph::build(3, EdgeList{{0, 1}, {1, 3}}),
+               "edge endpoint out of range");
+  EXPECT_DEATH(Graph::build(3, EdgeList{{3, 0}}), "edge endpoint out of range");
+  EXPECT_DEATH(Graph::build(0, EdgeList{{0, 1}}), "edge endpoint out of range");
+}
+
+// ---- Bit-identity pins -----------------------------------------------------
+// FNV-1a hashes of what gen::rmat and Graph::build emit, recorded from a
+// comparison-sort builder so the counting passes are held to its output. A
+// changed RNG draw, canonical (src, dst) order, edge id or dedup rule moves
+// a pin.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t hash_edges(const EdgeList& edges) {
+  Fnv1a h;
+  h.add(edges.size());
+  for (const Edge& e : edges) {
+    h.add(e.src);
+    h.add(e.dst);
+  }
+  return h.value();
+}
+
+/// One hash per Graph array, read back through the public accessors.
+struct GraphHashes {
+  std::uint64_t out_offsets, out_targets, in_offsets, in_edges, edge_src;
+  friend bool operator==(const GraphHashes&, const GraphHashes&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const GraphHashes& h) {
+    return os << std::hex << std::showbase << "{" << h.out_offsets << ", "
+              << h.out_targets << ", " << h.in_offsets << ", " << h.in_edges
+              << ", " << h.edge_src << "}" << std::dec;
+  }
+};
+
+GraphHashes hash_graph(const Graph& g) {
+  Fnv1a out_offsets, out_targets, in_offsets, in_edges, edge_src;
+  EdgeId in_offset = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    out_offsets.add(g.out_edges_begin(v));
+    in_offsets.add(in_offset);
+    in_offset += g.in_degree(v);
+    for (const InEdge& ie : g.in_edges(v)) {
+      in_edges.add(ie.src);
+      in_edges.add(ie.id);
+    }
+  }
+  out_offsets.add(g.num_edges());
+  in_offsets.add(in_offset);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    out_targets.add(g.edge_target(e));
+    edge_src.add(g.edge_source(e));
+  }
+  return {out_offsets.value(), out_targets.value(), in_offsets.value(),
+          in_edges.value(), edge_src.value()};
+}
+
+GraphBuildOptions keep_all() {
+  GraphBuildOptions opts;
+  opts.remove_self_loops = false;
+  opts.remove_duplicate_edges = false;
+  return opts;
+}
+
+TEST(Generators, RmatEdgeListsArePinned) {
+  struct Pin {
+    VertexId n;  // 1024 takes no clamp; 1000 rounds up to 1024 and clamps
+    bool permute;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {1024, true, 1, 0x29b87b90aee98ae6},  {1024, true, 2, 0x783cfe4a4fd40806},
+      {1024, true, 3, 0x32fe491dde6382db},  {1024, false, 1, 0x27ddd7d0825dd9a9},
+      {1024, false, 2, 0xaa0d3bf0bd18043d}, {1024, false, 3, 0x96d2d9d54fe79812},
+      {1000, true, 1, 0x6a9df6d21b7b635f},  {1000, true, 2, 0x9a84b2a4e2e7d517},
+      {1000, true, 3, 0xecac046cd01ae587},  {1000, false, 1, 0xdbf878f9d148c7c9},
+      {1000, false, 2, 0x426d0f262a168c40}, {1000, false, 3, 0xd7b0a55374135ff7},
+  };
+  for (const Pin& p : pins) {
+    gen::RmatOptions opts;
+    opts.permute = p.permute;
+    EXPECT_EQ(hash_edges(gen::rmat(p.n, 16000, p.seed, opts)), p.hash)
+        << "n=" << p.n << " permute=" << p.permute << " seed=" << p.seed;
+  }
+}
+
+TEST(Graph, BuildOfRmatIsPinned) {
+  // V = 1000 clamps, so the lists carry self-loops and duplicates; the
+  // keep-all builds are the path load_binary_graph takes.
+  const GraphHashes dedup[] = {
+      {0x76499150902187cf, 0xe076f050e0840360, 0x3cbb24b7c06a5e71,
+       0x2ad24e2539de102e, 0x7aa522125e9c57ef},
+      {0x5dbcead5aae136fc, 0xd7606576fdef3d0a, 0x62a1342627132674,
+       0x19a901eaee788036, 0x60e0040f5af56c05},
+      {0xaefe04a2660aeec2, 0xa1ac4592fdd7a2aa, 0x581dbd3aba38c4e5,
+       0xf0e5848bcf931415, 0x8b5501184cae1103},
+  };
+  const GraphHashes kept[] = {
+      {0xee2ba763a7ca7a9a, 0x7c37a489488cc061, 0xb31b87a3befc5fbf,
+       0x05c63359ff67a655, 0x3644b9427769e259},
+      {0x78963151f2070f92, 0xd5912b5b3f1544a1, 0x76643ce70cda8165,
+       0xea49623a26548bf9, 0x41ba6a770b4bc029},
+      {0xf8fd1d79a1add623, 0xe6284131c0a68865, 0xb55ff64607007765,
+       0xec31a41b54e47fcd, 0xc33ddb95375e7785},
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const EdgeList edges = gen::rmat(1000, 16000, seed);
+    EXPECT_EQ(hash_graph(Graph::build(1000, edges)), dedup[seed - 1])
+        << "seed=" << seed;
+    EXPECT_EQ(hash_graph(Graph::build(1000, edges, keep_all())),
+              kept[seed - 1])
+        << "seed=" << seed;
+  }
+}
+
+TEST(Graph, BuildOfShuffledInputIsPinned) {
+  // Loader-style input: both directions of every edge, in no useful order.
+  const EdgeList sorted = symmetrize(gen::rmat(512, 4096, 4));
+  EdgeList shuffled = sorted;
+  Xoshiro256 rng(11);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.next_below(i + 1)]);
+  }
+  const GraphHashes pin{0x862894b015165d47, 0x3b81d4229f3004f8,
+                        0x862894b015165d47, 0xad8e3d5b51f4f049,
+                        0xe3d742714d968c84};
+  EXPECT_EQ(hash_graph(Graph::build(512, shuffled)), pin);
+  EXPECT_EQ(hash_graph(Graph::build(512, sorted)), pin);
+}
+
+TEST(Graph, BuildOfDegenerateInputsIsPinned) {
+  const EdgeList one_vertex{{0, 0}, {0, 0}};
+  const EdgeList self_loops{{2, 2}, {0, 0}, {3, 3}, {0, 0}, {1, 1}};
+  // An empty CSR hashes each empty array to the FNV offset basis.
+  constexpr std::uint64_t kEmpty = 0xcbf29ce484222325;
+  EXPECT_EQ(hash_graph(Graph::build(0, {})),
+            (GraphHashes{0xa8c7f832281a39c5, kEmpty, 0xa8c7f832281a39c5, kEmpty,
+                         kEmpty}));
+  EXPECT_EQ(hash_graph(Graph::build(4, {})),
+            (GraphHashes{0x40d69e0cf0f65c45, kEmpty, 0x40d69e0cf0f65c45, kEmpty,
+                         kEmpty}));
+  EXPECT_EQ(hash_graph(Graph::build(1, one_vertex)),
+            (GraphHashes{0x88201fb960ff6465, kEmpty, 0x88201fb960ff6465, kEmpty,
+                         kEmpty}));
+  EXPECT_EQ(hash_graph(Graph::build(1, one_vertex, keep_all())),
+            (GraphHashes{0xc615adcb76ddf8a7, 0x88201fb960ff6465,
+                         0xc615adcb76ddf8a7, 0xed87496f429bab84,
+                         0x88201fb960ff6465}));
+  EXPECT_EQ(hash_graph(Graph::build(4, self_loops)),
+            (GraphHashes{0x40d69e0cf0f65c45, kEmpty, 0x40d69e0cf0f65c45, kEmpty,
+                         kEmpty}));
+  EXPECT_EQ(hash_graph(Graph::build(4, self_loops, keep_all())),
+            (GraphHashes{0x367e9433e8fd2fc5, 0x993059584ec75845,
+                         0x367e9433e8fd2fc5, 0xae020cb713560521,
+                         0x993059584ec75845}));
 }
 
 TEST(Loader, ParsesSnapFormat) {

@@ -92,7 +92,7 @@ inline Graph build_base_graph(const CliArgs& args) {
                              " (expected rmat|er|chain)");
   }
   if (args.get_bool("symmetrize", false)) edges = symmetrize(edges);
-  return Graph::build(n, edges);
+  return Graph::build(n, std::move(edges));
 }
 
 template <typename Program>
