@@ -6,14 +6,17 @@
 // once per engine run (with_access_policy, at the end of this file).
 //
 //  * LockedAccess  — method (1): explicit per-edge lock around each read/write.
-//  * AlignedAccess — method (2): plain 8-byte-aligned loads/stores, relying on
-//    the architecture transferring an aligned word atomically. NOTE: per the
+//  * AlignedAccess — method (2): plain loads/stores of one naturally aligned
+//    4- or 8-byte word (the slot's own width, SlotWord<T>), relying on the
+//    architecture transferring an aligned word atomically. NOTE: per the
 //    C++ memory model this is a data race (formally UB); it is implemented
 //    deliberately and only here, because reproducing the paper's method (2)
 //    *is* the experiment (the paper leans on Boehm's "benign race" analysis
-//    [19]). On x86-64/AArch64 an aligned 8-byte MOV/LDR is single-copy atomic,
-//    which is the property the paper exploits. Everything else in this
-//    library is standard-conforming.
+//    [19]). On x86-64/AArch64 an aligned 4- or 8-byte MOV/LDR is single-copy
+//    atomic, and a naturally aligned word never straddles a cache line,
+//    which is the property the paper exploits. The access is exactly the
+//    slot's width, so a write never touches a neighbouring slot. Everything
+//    else in this library is standard-conforming.
 //  * RelaxedAtomicAccess — method (3): C++ std::atomic with
 //    memory_order_relaxed ("the relaxed atomic primitives of C++").
 //  * SeqCstAccess  — ablation: the maximally ordered atomic flavour, to
@@ -65,15 +68,15 @@ struct AlignedAccess {
     // EdgeDataArray; see the file comment for why this intentional race exists.
     // NOLINTNEXTLINE(bugprone-casting-through-void): deliberate atomic->raw
     // reinterpretation — reproducing the paper's method (2) IS the experiment.
-    const auto* raw = reinterpret_cast<const volatile std::uint64_t*>(a.slots());
+    const auto* raw = reinterpret_cast<const volatile SlotWord<T>*>(a.slots());
     return detail::from_slot<T>(raw[e]);
   }
 
   template <EdgePod T>
   void write(EdgeDataArray<T>& a, EdgeId e, T v) const {
     // NOLINTNEXTLINE(bugprone-casting-through-void): see read() above.
-    auto* raw = reinterpret_cast<volatile std::uint64_t*>(a.slots());
-    raw[e] = detail::to_slot(v);
+    auto* raw = reinterpret_cast<volatile SlotWord<T>*>(a.slots());
+    raw[e] = detail::to_word(v);
   }
 
   /// NOT atomic: racing exchanges/accumulates can lose updates (the point of
@@ -93,14 +96,14 @@ struct AlignedAccess {
 
 namespace detail {
 
-/// Shared CAS-loop RMW for the two atomic policies.
+/// Shared CAS-loop RMW for the two atomic policies, at the slot's width.
 template <EdgePod T, typename Fn>
 void atomic_accumulate(EdgeDataArray<T>& a, EdgeId e, Fn fn,
                        std::memory_order order) {
   auto& slot = a.slots()[e];
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
+  SlotWord<T> cur = slot.load(std::memory_order_relaxed);
   while (!slot.compare_exchange_weak(
-      cur, to_slot(fn(from_slot<T>(cur))), order, std::memory_order_relaxed)) {
+      cur, to_word(fn(from_slot<T>(cur))), order, std::memory_order_relaxed)) {
   }
 }
 
@@ -116,13 +119,13 @@ struct RelaxedAtomicAccess {
 
   template <EdgePod T>
   void write(EdgeDataArray<T>& a, EdgeId e, T v) const {
-    a.slots()[e].store(detail::to_slot(v), std::memory_order_relaxed);
+    a.slots()[e].store(detail::to_word(v), std::memory_order_relaxed);
   }
 
   template <EdgePod T>
   T exchange(EdgeDataArray<T>& a, EdgeId e, T v) const {
     return detail::from_slot<T>(
-        a.slots()[e].exchange(detail::to_slot(v), std::memory_order_relaxed));
+        a.slots()[e].exchange(detail::to_word(v), std::memory_order_relaxed));
   }
 
   template <EdgePod T, typename Fn>
@@ -141,13 +144,13 @@ struct SeqCstAccess {
 
   template <EdgePod T>
   void write(EdgeDataArray<T>& a, EdgeId e, T v) const {
-    a.slots()[e].store(detail::to_slot(v), std::memory_order_seq_cst);
+    a.slots()[e].store(detail::to_word(v), std::memory_order_seq_cst);
   }
 
   template <EdgePod T>
   T exchange(EdgeDataArray<T>& a, EdgeId e, T v) const {
     return detail::from_slot<T>(
-        a.slots()[e].exchange(detail::to_slot(v), std::memory_order_seq_cst));
+        a.slots()[e].exchange(detail::to_word(v), std::memory_order_seq_cst));
   }
 
   template <EdgePod T, typename Fn>
@@ -170,7 +173,7 @@ struct LockedAccess {
   template <EdgePod T>
   void write(EdgeDataArray<T>& a, EdgeId e, T v) const {
     EdgeLockGuard guard(*locks, e);
-    a.slots()[e].store(detail::to_slot(v), std::memory_order_relaxed);
+    a.slots()[e].store(detail::to_word(v), std::memory_order_relaxed);
   }
 
   template <EdgePod T>
@@ -178,7 +181,7 @@ struct LockedAccess {
     EdgeLockGuard guard(*locks, e);
     auto& slot = a.slots()[e];
     const T old = detail::from_slot<T>(slot.load(std::memory_order_relaxed));
-    slot.store(detail::to_slot(v), std::memory_order_relaxed);
+    slot.store(detail::to_word(v), std::memory_order_relaxed);
     return old;
   }
 
@@ -187,7 +190,7 @@ struct LockedAccess {
     EdgeLockGuard guard(*locks, e);
     auto& slot = a.slots()[e];
     const T old = detail::from_slot<T>(slot.load(std::memory_order_relaxed));
-    slot.store(detail::to_slot(fn(old)), std::memory_order_relaxed);
+    slot.store(detail::to_word(fn(old)), std::memory_order_relaxed);
   }
 };
 

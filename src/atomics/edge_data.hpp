@@ -2,16 +2,29 @@
 // Per-edge algorithm data, stored out-of-band from the Graph topology and
 // indexed by canonical edge id.
 //
-// The paper's Section III restricts edge data to structures that fit in one
-// 8-byte, 8-byte-aligned machine word ("we align the edge data structures of
-// the above algorithms to 8 bytes, such that they are stored in a single
-// cache line"). We enforce that contract at compile time with the EdgePod
-// concept, and store every edge datum in an 8-byte slot so that all three of
-// the paper's atomicity methods (locking, aligned plain access, C++ atomics)
-// can operate on the *same* storage.
+// The paper's Section III needs one thing from an edge datum: it must fit
+// one naturally aligned machine word, so that a single read or write of it
+// is atomic (Lemmas 1 & 2). The paper's data happened to be 8 bytes ("we
+// align the edge data structures of the above algorithms to 8 bytes, such
+// that they are stored in a single cache line"). We enforce the contract at
+// compile time with the EdgePod concept and store each datum in one slot of
+// its natural width: a 4-byte word for data of at most 4 bytes (float,
+// uint32_t), an 8-byte word otherwise. An aligned 4-byte word, like an
+// aligned 8-byte one, never straddles a cache line, so Lemma 1's argument
+// holds unchanged: the hardware moves it as one single-copy-atomic access,
+// and a reader sees either the old or the new word, never a mix. All three
+// of the paper's atomicity methods (locking, aligned plain access, C++
+// atomics) operate on the *same* storage.
+//
+// Layers that keep their own copies of edge data (delay queues, the
+// observer, fault injection, the simulator, the distributed machine, the
+// OOC shard buffers) hold 64-bit *logical* words made by detail::to_slot and
+// read back by detail::from_slot; they reach this array only through
+// get()/set() or an access policy, never by assuming the slot width.
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
 
@@ -26,20 +39,37 @@ namespace ndg {
 template <typename T>
 concept EdgePod = std::is_trivially_copyable_v<T> && sizeof(T) <= 8;
 
+/// The word an EdgeDataArray<T> stores each T in: 4 bytes when T fits,
+/// 8 bytes otherwise. The one place the slot width is chosen.
+template <EdgePod T>
+using SlotWord =
+    std::conditional_t<sizeof(T) <= 4, std::uint32_t, std::uint64_t>;
+
 namespace detail {
 
-template <EdgePod T>
-inline std::uint64_t to_slot(T v) {
-  std::uint64_t s = 0;
+/// T's bytes at the start of a zeroed Word. The default Word is the 64-bit
+/// logical word the modelling layers keep; storage uses SlotWord<T>.
+template <EdgePod T, typename Word = std::uint64_t>
+inline Word to_slot(T v) {
+  static_assert(sizeof(T) <= sizeof(Word));
+  Word s = 0;
   std::memcpy(&s, &v, sizeof(T));
   return s;
 }
 
-template <EdgePod T>
-inline T from_slot(std::uint64_t s) {
+/// Inverse of to_slot for either word width (deduced from the argument).
+template <EdgePod T, typename Word>
+inline T from_slot(Word s) {
+  static_assert(sizeof(T) <= sizeof(Word));
   T v;
   std::memcpy(&v, &s, sizeof(T));
   return v;
+}
+
+/// T in its storage word, SlotWord<T>.
+template <EdgePod T>
+inline SlotWord<T> to_word(T v) {
+  return to_slot<T, SlotWord<T>>(v);
 }
 
 }  // namespace detail
@@ -48,6 +78,7 @@ template <EdgePod T>
 class EdgeDataArray {
  public:
   using value_type = T;
+  using Word = SlotWord<T>;
 
   EdgeDataArray() = default;
 
@@ -62,7 +93,7 @@ class EdgeDataArray {
   [[nodiscard]] EdgeId size() const { return size_; }
 
   void fill(T v) {
-    const std::uint64_t s = detail::to_slot(v);
+    const Word s = detail::to_word(v);
     for (EdgeId e = 0; e < size_; ++e) {
       slots()[e].store(s, std::memory_order_relaxed);
     }
@@ -75,21 +106,22 @@ class EdgeDataArray {
   }
   void set(EdgeId e, T v) {
     NDG_ASSERT(e < size_);
-    slots()[e].store(detail::to_slot(v), std::memory_order_relaxed);
+    slots()[e].store(detail::to_word(v), std::memory_order_relaxed);
   }
 
   /// Raw slot storage; the access policies in access_policy.hpp go through
-  /// this. std::atomic<uint64_t> is lock-free and 8-byte aligned on every
+  /// this, and nothing outside src/atomics/ may (tools/ndg_lint.py).
+  /// std::atomic<Word> is lock-free and aligned to its own size on every
   /// platform we target (checked below), which is what makes the paper's
-  /// "architecture support" method possible. Storage is a plain-uint64 arena
+  /// "architecture support" method possible. Storage is a plain-Word arena
   /// buffer (std::atomic is not trivially copyable, so it cannot live in a
   /// Buffer directly); the layout static_asserts below are what make this
   /// view the same game AlignedAccess already plays in the other direction.
-  [[nodiscard]] std::atomic<std::uint64_t>* slots() {
-    return reinterpret_cast<std::atomic<std::uint64_t>*>(raw_.data());
+  [[nodiscard]] std::atomic<Word>* slots() {
+    return reinterpret_cast<std::atomic<Word>*>(raw_.data());
   }
-  [[nodiscard]] const std::atomic<std::uint64_t>* slots() const {
-    return reinterpret_cast<const std::atomic<std::uint64_t>*>(raw_.data());
+  [[nodiscard]] const std::atomic<Word>* slots() const {
+    return reinterpret_cast<const std::atomic<Word>*>(raw_.data());
   }
 
   /// Grows the slot array to `n` edges, preserving existing data (edge ids
@@ -108,7 +140,7 @@ class EdgeDataArray {
     if (n > capacity()) {
       raw_ = raw_.resized(std::max<EdgeId>(n, capacity() + capacity() / 2));
     }
-    const std::uint64_t s = detail::to_slot(init);
+    const Word s = detail::to_word(init);
     for (EdgeId e = size_; e < n; ++e) {
       slots()[e].store(s, std::memory_order_relaxed);
     }
@@ -130,14 +162,16 @@ class EdgeDataArray {
   }
 
  private:
-  static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+  static_assert(std::atomic<Word>::is_always_lock_free,
                 "edge slots must be natively atomic");
-  static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t) &&
-                    alignof(std::atomic<std::uint64_t>) == alignof(std::uint64_t),
-                "atomic slot layout must match raw uint64 for AlignedAccess");
+  static_assert(sizeof(std::atomic<Word>) == sizeof(Word) &&
+                    alignof(std::atomic<Word>) == alignof(Word) &&
+                    alignof(Word) == sizeof(Word),
+                "atomic slot layout must match a naturally aligned raw word "
+                "for AlignedAccess");
 
   EdgeId size_ = 0;
-  mem::Buffer<std::uint64_t> raw_;
+  mem::Buffer<Word> raw_;
 };
 
 }  // namespace ndg

@@ -20,7 +20,8 @@ namespace ndg {
 
 class MonotonicityChecker final : public AccessObserver {
  public:
-  /// Decodes a raw 8-byte edge slot to the comparable value.
+  /// Decodes a 64-bit logical edge word (detail::to_slot) to the comparable
+  /// value.
   using Projection = double (*)(std::uint64_t slot_value);
 
   enum class Direction { kConstant, kNonIncreasing, kNonDecreasing, kNone };

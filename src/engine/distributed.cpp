@@ -13,26 +13,6 @@ DistMachine::DistMachine(const Graph& g, const DistOptions& opts)
   NDG_ASSERT(opts_.network_delay >= 1);
 }
 
-void DistMachine::load_replicas(const std::atomic<std::uint64_t>* slots,
-                                EdgeId num_edges) {
-  NDG_ASSERT(num_edges == src_replica_.size());
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    const std::uint64_t v = slots[e].load(std::memory_order_relaxed);
-    src_replica_[e] = v;
-    dst_replica_[e] = v;
-  }
-}
-
-void DistMachine::store_replicas(std::atomic<std::uint64_t>* slots,
-                                 EdgeId num_edges) const {
-  NDG_ASSERT(num_edges == src_replica_.size());
-  // The destination side is the gather side in pull mode; expose it as the
-  // canonical post-run edge state (tests also check replicas_consistent()).
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    slots[e].store(dst_replica_[e], std::memory_order_relaxed);
-  }
-}
-
 bool DistMachine::replicas_consistent() const {
   for (EdgeId e = 0; e < src_replica_.size(); ++e) {
     if (src_replica_[e] != dst_replica_[e]) return false;

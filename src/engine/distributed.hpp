@@ -5,12 +5,13 @@
 //
 // K logical machines own disjoint vertex ranges (block or hash partition).
 // Every edge keeps one replica per endpoint machine: the source-side and the
-// target-side copy of its 8-byte datum. An update runs on its vertex's
-// machine and reads/writes its *local* replicas with immediate (Gauss–Seidel)
-// visibility; a write whose other endpoint lives remotely additionally sends
-// an update message that lands after `network_delay` rounds, overwriting the
-// remote replica and scheduling the remote endpoint (the Section II
-// task-generation rule, carried by the network).
+// target-side copy of its datum, each a 64-bit logical word. An update runs
+// on its vertex's machine and reads/writes its *local* replicas with
+// immediate (Gauss–Seidel) visibility; a write whose other endpoint lives
+// remotely additionally sends an update message that lands after
+// `network_delay` rounds, overwriting the remote replica and scheduling the
+// remote endpoint (the Section II task-generation rule, carried by the
+// network).
 //
 // This is the shared-memory model of the paper with the ∥ window stretched
 // to the network: replicas of one edge can disagree for up to
@@ -65,7 +66,8 @@ struct DistResult {
 
 namespace detail {
 
-/// Non-templated distributed machinery over raw 8-byte replicas.
+/// Non-templated distributed machinery over 64-bit logical replica words
+/// (detail::to_slot).
 class DistMachine {
  public:
   DistMachine(const Graph& g, const DistOptions& opts);
@@ -77,12 +79,11 @@ class DistMachine {
                      std::max<std::size_t>(1, num_vertices_);
   }
 
-  /// Initializes both replicas of every edge from the program's edge array.
-  void load_replicas(const std::atomic<std::uint64_t>* slots, EdgeId num_edges);
-  /// Writes the locally-visible replica values back (dst side wins for
-  /// split edges only if equal; diverged replicas should not remain at
-  /// convergence — callers may assert via replicas_consistent()).
-  void store_replicas(std::atomic<std::uint64_t>* slots, EdgeId num_edges) const;
+  /// Initializes both replicas of edge e.
+  void load_replica(EdgeId e, std::uint64_t value) {
+    src_replica_[e] = value;
+    dst_replica_[e] = value;
+  }
   [[nodiscard]] bool replicas_consistent() const;
 
   [[nodiscard]] std::uint64_t read_side(EdgeId e, bool src_side) const {
@@ -248,8 +249,12 @@ DistResult run_distributed(const Graph& g, Program& prog,
 
   detail::DistMachine machine(g, effective);
   // Whole-array replica snapshot before any update runs: quiescent, so the
-  // access policy is not in play.  ndg-lint: allow(raw-slots)
-  machine.load_replicas(edges.slots(), edges.size());
+  // access policy is not in play.
+  using ED = typename Program::EdgeData;
+  NDG_ASSERT(edges.size() == g.num_edges());
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    machine.load_replica(e, detail::to_slot(edges.get(e)));
+  }
 
   // Per-machine frontiers (current and next), deduplicated via bitsets.
   std::vector<std::vector<VertexId>> current(machines);
@@ -257,8 +262,7 @@ DistResult run_distributed(const Graph& g, Program& prog,
   std::vector<DenseBitset> next_flags(machines);
   for (auto& f : next_flags) f = DenseBitset(g.num_vertices());
 
-  detail::DistContext<typename Program::EdgeData> ctx(g, machine, next,
-                                                      next_flags);
+  detail::DistContext<ED> ctx(g, machine, next, next_flags);
   auto deliver_schedule = [&](VertexId u) { ctx.schedule(u); };
 
   for (const VertexId v : prog.initial_frontier(g)) {
@@ -304,8 +308,14 @@ DistResult run_distributed(const Graph& g, Program& prog,
 
   result.messages = machine.messages_sent();
   result.replica_divergences = machine.divergences();
-  // Quiescent write-back after the last round.  ndg-lint: allow(raw-slots)
-  machine.store_replicas(edges.slots(), edges.size());
+  // Quiescent write-back after the last round. The destination side is the
+  // gather side in pull mode, so it is the canonical post-run edge state;
+  // diverged replicas should not remain at convergence (tests also check
+  // replicas_consistent()).
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    edges.set(e,
+              detail::from_slot<ED>(machine.read_side(e, /*src_side=*/false)));
+  }
   result.seconds = timer.seconds();
   return result;
 }

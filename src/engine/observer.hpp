@@ -18,8 +18,8 @@ class AccessObserver {
 
   virtual void on_read(EdgeId /*e*/, VertexId /*reader*/,
                        std::uint32_t /*iteration*/) {}
-  /// `slot_value` is the raw 8-byte representation of the written edge datum
-  /// (decode with detail::from_slot<EdgeData>).
+  /// `slot_value` is the 64-bit logical word of the written edge datum,
+  /// whatever its storage width (decode with detail::from_slot<EdgeData>).
   virtual void on_write(EdgeId /*e*/, VertexId /*writer*/,
                         std::uint32_t /*iteration*/,
                         std::uint64_t /*slot_value*/) {}

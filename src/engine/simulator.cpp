@@ -4,11 +4,11 @@
 
 namespace ndg::detail {
 
-SimMachine::SimMachine(std::atomic<std::uint64_t>* slots, EdgeId num_edges,
+SimMachine::SimMachine(std::vector<std::uint64_t> committed,
                        std::size_t delay, std::size_t delay_jitter,
                        std::uint64_t seed)
-    : slots_(slots), logs_(num_edges), delay_(delay),
-      delay_jitter_(delay_jitter), seed_(seed) {}
+    : committed_(std::move(committed)), logs_(committed_.size()),
+      delay_(delay), delay_jitter_(delay_jitter), seed_(seed) {}
 
 std::size_t SimMachine::effective_delay(EdgeId e, const WriteRec& w,
                                         std::uint32_t proc,
@@ -54,7 +54,7 @@ bool SimMachine::tie_pick_first(EdgeId e, const WriteRec& a,
 std::uint64_t SimMachine::read(EdgeId e, std::uint32_t proc, std::uint32_t slot) {
   NDG_ASSERT(e < logs_.size());
   const EdgeLog& log = logs_[e];
-  std::uint64_t value = slots_[e].load(std::memory_order_relaxed);
+  const std::uint64_t value = committed_[e];
   if (log.epoch != iter_ || log.count == 0) return value;
 
   const WriteRec* best = nullptr;
@@ -118,7 +118,7 @@ void SimMachine::commit() {
         winner = &w;
       }
     }
-    slots_[e].store(winner->value, std::memory_order_relaxed);
+    committed_[e] = winner->value;
     log.count = 0;
   }
   touched_.clear();

@@ -25,6 +25,7 @@
 // execution; a property test asserts bit-equality with run_deterministic.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "atomics/edge_data.hpp"
@@ -78,11 +79,12 @@ struct SimResult {
 
 namespace detail {
 
-/// Non-templated simulation machinery operating on raw 8-byte edge slots.
+/// Non-templated simulation machinery over 64-bit logical edge words
+/// (detail::to_slot): it keeps its own committed copy of every edge.
 class SimMachine {
  public:
-  SimMachine(std::atomic<std::uint64_t>* slots, EdgeId num_edges,
-             std::size_t delay, std::size_t delay_jitter, std::uint64_t seed);
+  SimMachine(std::vector<std::uint64_t> committed, std::size_t delay,
+             std::size_t delay_jitter, std::uint64_t seed);
 
   void begin_iteration(std::uint32_t iter) { iter_ = iter; }
 
@@ -92,6 +94,11 @@ class SimMachine {
   /// Commits each touched edge to its winning write (Lemmas 1 & 2) and clears
   /// the iteration's log.
   void commit();
+
+  /// Edge e's value as of the last commit().
+  [[nodiscard]] std::uint64_t committed(EdgeId e) const {
+    return committed_[e];
+  }
 
   [[nodiscard]] std::uint64_t rw_overlaps() const { return rw_overlaps_; }
   [[nodiscard]] std::uint64_t ww_overlaps() const { return ww_overlaps_; }
@@ -118,7 +125,7 @@ class SimMachine {
   [[nodiscard]] bool tie_pick_first(EdgeId e, const WriteRec& a,
                                     const WriteRec& b) const;
 
-  std::atomic<std::uint64_t>* slots_;
+  std::vector<std::uint64_t> committed_;
   std::vector<EdgeLog> logs_;
   std::vector<EdgeId> touched_;
   std::size_t delay_;
@@ -211,11 +218,16 @@ SimResult run_simulated(const Graph& g, Program& prog,
   Frontier frontier(g.num_vertices());
   frontier.seed(prog.initial_frontier(g));
 
-  // The simulator owns the slot array for the whole run and models the
-  // paper's atomicity assumption itself.  ndg-lint: allow(raw-slots)
-  detail::SimMachine machine(edges.slots(), edges.size(), opts.delay,
+  // The simulator models the paper's atomicity assumption itself, on its
+  // own copy of the edge data: copied in here and back after the run.
+  using ED = typename Program::EdgeData;
+  std::vector<std::uint64_t> initial(edges.size());
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    initial[e] = detail::to_slot(edges.get(e));
+  }
+  detail::SimMachine machine(std::move(initial), opts.delay,
                              opts.delay_jitter, opts.seed);
-  detail::SimContext<typename Program::EdgeData> ctx(g, machine, frontier);
+  detail::SimContext<ED> ctx(g, machine, frontier);
 
   const std::size_t procs = std::max<std::size_t>(1, opts.num_procs);
   SimResult result;
@@ -251,6 +263,9 @@ SimResult run_simulated(const Graph& g, Program& prog,
     ++result.iterations;
   }
 
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    edges.set(e, detail::from_slot<ED>(machine.committed(e)));
+  }
   result.converged = frontier.empty();
   result.seconds = timer.seconds();
   result.rw_overlaps = machine.rw_overlaps();

@@ -198,8 +198,7 @@ OocResult run_ooc_nondet_impl(const Graph& g, Program& prog,
     std::vector<std::uint64_t> initial(edges.size());
     for (EdgeId e = 0; e < edges.size(); ++e) {
       // Quiescent snapshot into the shard store (no update is running).
-      // ndg-lint: allow(raw-slots)
-      initial[e] = edges.slots()[e].load(std::memory_order_relaxed);
+      initial[e] = detail::to_slot(edges.get(e));
     }
     store.write_initial(initial);
   }
@@ -301,8 +300,9 @@ OocResult run_ooc_nondet_impl(const Graph& g, Program& prog,
     std::vector<std::uint64_t> final_values(edges.size());
     store.read_back(final_values);
     for (EdgeId e = 0; e < edges.size(); ++e) {
-      // Quiescent write-back from the shard store.  ndg-lint: allow(raw-slots)
-      edges.slots()[e].store(final_values[e], std::memory_order_relaxed);
+      // Quiescent write-back from the shard store.
+      edges.set(e, detail::from_slot<typename Program::EdgeData>(
+                       final_values[e]));
     }
   }
   result.converged = frontier.empty();

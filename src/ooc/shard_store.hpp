@@ -1,8 +1,8 @@
 #pragma once
-// On-disk shard storage: one raw binary file of 8-byte edge values per
-// shard, parallel to ShardPlan::shard_edges[s]. Windows are read and written
-// as contiguous file ranges — the real I/O pattern of GraphChi's sliding
-// windows, not an in-memory simulation of it.
+// On-disk shard storage: one raw binary file of 64-bit logical edge words
+// (detail::to_slot) per shard, parallel to ShardPlan::shard_edges[s].
+// Windows are read and written as contiguous file ranges — the real I/O
+// pattern of GraphChi's sliding windows, not an in-memory simulation of it.
 
 #include <cstdint>
 #include <string>

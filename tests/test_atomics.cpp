@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
 
+#include "algorithms/dual_edge.hpp"
+#include "algorithms/sssp.hpp"
 #include "atomics/access_policy.hpp"
 #include "atomics/edge_data.hpp"
 #include "atomics/lock_table.hpp"
@@ -24,6 +27,27 @@ static_assert(EdgePod<PackedPair>);
 static_assert(EdgePod<float>);
 static_assert(EdgePod<std::uint32_t>);
 static_assert(EdgePod<std::uint64_t>);
+
+/// Each slot is one naturally aligned word of its datum's width: 4 bytes for
+/// 4-byte data, 8 for the rest, lock-free either way.
+template <typename T, typename Word>
+constexpr bool kSlotIs =
+    std::is_same_v<SlotWord<T>, Word> &&
+    std::is_same_v<typename EdgeDataArray<T>::Word, Word> &&
+    sizeof(std::atomic<Word>) == sizeof(Word) &&
+    alignof(std::atomic<Word>) == sizeof(Word) &&
+    std::atomic<Word>::is_always_lock_free;
+static_assert(kSlotIs<float, std::uint32_t>);
+static_assert(kSlotIs<std::uint32_t, std::uint32_t>);
+static_assert(kSlotIs<SsspEdge, std::uint64_t>);
+static_assert(kSlotIs<DualEdge, std::uint64_t>);
+static_assert(kSlotIs<PackedPair, std::uint64_t>);
+
+/// Bitwise equality for edge data without operator==.
+template <EdgePod T>
+bool same_bits(T a, T b) {
+  return detail::to_slot(a) == detail::to_slot(b);
+}
 
 TEST(EdgeData, SlotRoundTripFloat) {
   const float v = 3.25f;
@@ -77,8 +101,9 @@ TEST(EdgeData, GrowthWithinCapacityInitialisesInPlace) {
   const auto* slots = arr.slots();
   // Dirty the spare slots through the raw storage: growth must overwrite
   // them with `init`, not expose what was left there.
+  using Word = EdgeDataArray<float>::Word;
   for (EdgeId e = 9; e < cap; ++e) {
-    arr.slots()[e].store(~std::uint64_t{0}, std::memory_order_relaxed);
+    arr.slots()[e].store(~Word{0}, std::memory_order_relaxed);
   }
   arr.resize(cap, 4.0f);
   EXPECT_EQ(arr.slots(), slots);
@@ -185,16 +210,27 @@ TEST(AtomicityMode, ParseRoundTripsAndRejectsUnknown) {
   }
 }
 
+template <typename Policy, EdgePod T>
+void round_trip(Policy policy, T init, T value) {
+  EdgeDataArray<T> arr(3, init);
+  policy.write(arr, 1, value);
+  EXPECT_TRUE(same_bits(policy.read(arr, 1), value));
+  // Neighbouring slots untouched.
+  EXPECT_TRUE(same_bits(policy.read(arr, 0), init));
+  EXPECT_TRUE(same_bits(policy.read(arr, 2), init));
+}
+
 template <typename Policy>
 void round_trip(Policy policy) {
-  EdgeDataArray<PackedPair> arr(3, PackedPair{0, 0});
-  policy.write(arr, 1, PackedPair{4.0f, 5.0f});
-  const PackedPair got = policy.read(arr, 1);
-  EXPECT_EQ(got.a, 4.0f);
-  EXPECT_EQ(got.b, 5.0f);
-  // Neighbouring slots untouched.
-  EXPECT_EQ(policy.read(arr, 0).a, 0.0f);
-  EXPECT_EQ(policy.read(arr, 2).b, 0.0f);
+  round_trip(policy, PackedPair{0, 0}, PackedPair{4.0f, 5.0f});
+}
+
+/// Nonzero neighbours, so a write wider than the slot shows as a changed
+/// neighbour.
+template <typename Policy>
+void round_trip_4byte(Policy policy) {
+  round_trip(policy, 1.25f, -4.5f);
+  round_trip(policy, std::uint32_t{0x5a5a5a5a}, std::uint32_t{0xdeadbeef});
 }
 
 TEST(Policies, AlignedRoundTrip) { round_trip(AlignedAccess{}); }
@@ -204,6 +240,17 @@ TEST(Policies, SeqCstRoundTrip) { round_trip(SeqCstAccess{}); }
 TEST(Policies, LockedRoundTrip) {
   EdgeLockTable locks(3);
   round_trip(LockedAccess{&locks});
+}
+
+TEST(Policies, AlignedRoundTrip4Byte) { round_trip_4byte(AlignedAccess{}); }
+TEST(Policies, RelaxedRoundTrip4Byte) {
+  round_trip_4byte(RelaxedAtomicAccess{});
+}
+TEST(Policies, SeqCstRoundTrip4Byte) { round_trip_4byte(SeqCstAccess{}); }
+
+TEST(Policies, LockedRoundTrip4Byte) {
+  EdgeLockTable locks(3);
+  round_trip_4byte(LockedAccess{&locks});
 }
 
 /// with_access_policy is the one place the runtime mode becomes a policy
@@ -240,31 +287,39 @@ TEST(Policies, WithAccessPolicyMapsEveryModeOnce) {
 /// Lemma 1/2 at the machine level: concurrent single-word writes never tear —
 /// a reader always observes one of the written values, whole. Exercised for
 /// every policy with two writers alternating between two sentinel values.
-template <typename Policy>
-void no_tearing(Policy policy) {
-  EdgeDataArray<PackedPair> arr(1, PackedPair{1.0f, 10.0f});
-  const PackedPair kA{1.0f, 10.0f};
-  const PackedPair kB{2.0f, 20.0f};
+template <typename Policy, EdgePod T>
+void no_tearing(Policy policy, T a, T b) {
+  EdgeDataArray<T> arr(1, a);
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
 
   run_team(3, [&](std::size_t tid) {
     if (tid < 2) {
-      const PackedPair mine = tid == 0 ? kA : kB;
+      const T mine = tid == 0 ? a : b;
       for (int i = 0; i < 30000 && !stop.load(); ++i) {
         policy.write(arr, 0, mine);
       }
       stop.store(true);
     } else {
       while (!stop.load()) {
-        const PackedPair got = policy.read(arr, 0);
-        const bool is_a = got.a == kA.a && got.b == kA.b;
-        const bool is_b = got.a == kB.a && got.b == kB.b;
-        if (!is_a && !is_b) torn.fetch_add(1);
+        const T got = policy.read(arr, 0);
+        if (!same_bits(got, a) && !same_bits(got, b)) torn.fetch_add(1);
       }
     }
   });
   EXPECT_EQ(torn.load(), 0);
+}
+
+template <typename Policy>
+void no_tearing(Policy policy) {
+  no_tearing(policy, PackedPair{1.0f, 10.0f}, PackedPair{2.0f, 20.0f});
+}
+
+/// Every half of the two sentinels differs, so a read that mixed halves of
+/// the two words would match neither.
+template <typename Policy>
+void no_tearing_4byte(Policy policy) {
+  no_tearing(policy, std::uint32_t{0x1111eeee}, std::uint32_t{0xeeee1111});
 }
 
 TEST(Policies, AlignedNeverTears) { no_tearing(AlignedAccess{}); }
@@ -274,6 +329,101 @@ TEST(Policies, SeqCstNeverTears) { no_tearing(SeqCstAccess{}); }
 TEST(Policies, LockedNeverTears) {
   EdgeLockTable locks(1);
   no_tearing(LockedAccess{&locks});
+}
+
+TEST(Policies, AlignedNeverTears4Byte) { no_tearing_4byte(AlignedAccess{}); }
+TEST(Policies, RelaxedNeverTears4Byte) {
+  no_tearing_4byte(RelaxedAtomicAccess{});
+}
+TEST(Policies, SeqCstNeverTears4Byte) { no_tearing_4byte(SeqCstAccess{}); }
+
+TEST(Policies, LockedNeverTears4Byte) {
+  EdgeLockTable locks(1);
+  no_tearing_4byte(LockedAccess{&locks});
+}
+
+/// Adjacent 4-byte slots share an 8-byte word. Two threads write slots 0 and
+/// 1 concurrently, each with values tagged by its slot in the top byte,
+/// until a third has read both slots kReads times. A policy that stored a
+/// whole 8-byte word would zero or overwrite the neighbour, which the reader
+/// sees as a foreign tag and the final values show as a lost write.
+template <typename Policy>
+void neighbour_isolation(Policy policy) {
+  constexpr int kReads = 20000;
+  const auto tagged = [](std::size_t slot, std::uint32_t i) {
+    return static_cast<std::uint32_t>((slot + 1) << 24) | (i & 0xffffffu);
+  };
+  EdgeDataArray<std::uint32_t> arr(2);
+  arr.set(0, tagged(0, 0));
+  arr.set(1, tagged(1, 0));
+  std::atomic<int> arrived{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> foreign{0};
+  std::uint32_t last[2] = {0, 0};
+
+  run_team(3, [&](std::size_t tid) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 3) {
+    }
+    if (tid < 2) {
+      std::uint32_t i = 0;
+      do {
+        policy.write(arr, tid, tagged(tid, ++i));
+      } while (!stop.load(std::memory_order_relaxed));
+      last[tid] = i;
+      return;
+    }
+    for (int r = 0; r < kReads; ++r) {
+      for (std::size_t slot = 0; slot < 2; ++slot) {
+        if (policy.read(arr, slot) >> 24 != slot + 1) foreign.fetch_add(1);
+      }
+    }
+    stop.store(true);
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(arr.get(0), tagged(0, last[0]));
+  EXPECT_EQ(arr.get(1), tagged(1, last[1]));
+}
+
+TEST(Policies, AlignedKeepsNeighbourSlots) {
+  neighbour_isolation(AlignedAccess{});
+}
+TEST(Policies, RelaxedKeepsNeighbourSlots) {
+  neighbour_isolation(RelaxedAtomicAccess{});
+}
+TEST(Policies, SeqCstKeepsNeighbourSlots) {
+  neighbour_isolation(SeqCstAccess{});
+}
+TEST(Policies, LockedKeepsNeighbourSlots) {
+  EdgeLockTable locks(2);
+  neighbour_isolation(LockedAccess{&locks});
+}
+
+/// The atomic policies' accumulate is an exact RMW at the 4-byte width: no
+/// increment is lost, and the neighbouring slot is never touched.
+template <typename Policy>
+void exact_accumulate_4byte(Policy policy) {
+  constexpr std::uint32_t kPerThread = 20000;
+  EdgeDataArray<std::uint32_t> arr(2, 0);
+  arr.set(1, 0xabcdef01u);
+  run_team(4, [&](std::size_t) {
+    for (std::uint32_t i = 0; i < kPerThread; ++i) {
+      policy.accumulate(arr, 0, [](std::uint32_t x) { return x + 1; });
+    }
+  });
+  EXPECT_EQ(arr.get(0), 4 * kPerThread);
+  EXPECT_EQ(arr.get(1), 0xabcdef01u);
+}
+
+TEST(Policies, RelaxedAccumulateIsExact4Byte) {
+  exact_accumulate_4byte(RelaxedAtomicAccess{});
+}
+TEST(Policies, SeqCstAccumulateIsExact4Byte) {
+  exact_accumulate_4byte(SeqCstAccess{});
+}
+TEST(Policies, LockedAccumulateIsExact4Byte) {
+  EdgeLockTable locks(2);
+  exact_accumulate_4byte(LockedAccess{&locks});
 }
 
 }  // namespace

@@ -22,8 +22,7 @@ constexpr std::uint64_t kWritten = 42;
 bool machine_sees_write(std::size_t procs, std::size_t delay,
                         std::uint32_t writer_proc, std::uint32_t writer_slot,
                         std::uint32_t reader_proc, std::uint32_t reader_slot) {
-  std::atomic<std::uint64_t> slot{kCommitted};
-  detail::SimMachine machine(&slot, 1, delay, /*jitter=*/0, /*seed=*/1);
+  detail::SimMachine machine({kCommitted}, delay, /*jitter=*/0, /*seed=*/1);
   machine.begin_iteration(0);
   machine.write(0, kWritten, writer_proc, writer_slot);
   (void)procs;
@@ -81,13 +80,12 @@ TEST(ModelConsistency, CommitAlwaysTakesAWrittenValue) {
   // Lemma 2 at the machine level: after two racing writes + commit, the edge
   // holds ONE of the two written values, for every seed.
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    std::atomic<std::uint64_t> slot{kCommitted};
-    detail::SimMachine machine(&slot, 1, /*delay=*/4, /*jitter=*/0, seed);
+    detail::SimMachine machine({kCommitted}, /*delay=*/4, /*jitter=*/0, seed);
     machine.begin_iteration(0);
     machine.write(0, 100, /*proc=*/0, /*slot=*/0);
     machine.write(0, 200, /*proc=*/1, /*slot=*/0);
     machine.commit();
-    const std::uint64_t committed = slot.load();
+    const std::uint64_t committed = machine.committed(0);
     EXPECT_TRUE(committed == 100 || committed == 200) << "seed=" << seed;
   }
 }
@@ -96,14 +94,13 @@ TEST(ModelConsistency, BothCommitOutcomesOccurAcrossSeeds) {
   bool saw_100 = false;
   bool saw_200 = false;
   for (std::uint64_t seed = 0; seed < 64 && !(saw_100 && saw_200); ++seed) {
-    std::atomic<std::uint64_t> slot{kCommitted};
-    detail::SimMachine machine(&slot, 1, 4, 0, seed);
+    detail::SimMachine machine({kCommitted}, 4, 0, seed);
     machine.begin_iteration(0);
     machine.write(0, 100, 0, 0);
     machine.write(0, 200, 1, 0);
     machine.commit();
-    saw_100 = saw_100 || slot.load() == 100;
-    saw_200 = saw_200 || slot.load() == 200;
+    saw_100 = saw_100 || machine.committed(0) == 100;
+    saw_200 = saw_200 || machine.committed(0) == 200;
   }
   EXPECT_TRUE(saw_100);
   EXPECT_TRUE(saw_200);  // the ∥ race genuinely goes both ways

@@ -8,7 +8,8 @@ A single raw `slots()` poke or `reinterpret_cast` around the policy silently
 invalidates both. This linter keeps that contract honest at the source level:
 
   raw-slots         direct `slots()` access outside src/atomics/ (the one
-                    directory allowed to touch raw storage).
+                    directory allowed to touch raw storage, and so the only
+                    one that may know a slot's width).
   raw-cast          `reinterpret_cast` outside src/atomics/, except casts to
                     byte pointers (char*/unsigned char*/std::byte*) used for
                     binary I/O — those do not alias edge slots.
