@@ -159,12 +159,12 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   if (args.has("json")) {
-    const std::string cfg = "{\"experiment\":\"fig3\",\"scale\":" +
-                            std::to_string(args.get_int("scale", 128)) +
-                            ",\"eps\":" + std::to_string(eps) +
-                            ",\"repeats\":" + std::to_string(cfg_repeats_json) +
-                            "}";
-    table.write_json(args.get("json", "fig3.json"), cfg);
+    const std::string manifest =
+        "{\"experiment\":\"fig3\",\"scale\":" +
+        std::to_string(args.get_int("scale", 128)) +
+        ",\"eps\":" + std::to_string(eps) +
+        ",\"repeats\":" + std::to_string(cfg_repeats_json) + "}";
+    table.write_json(args.get("json", "fig3.json"), manifest);
     std::cout << "\n(json manifest written to " << args.get("json", "fig3.json")
               << ")\n";
   }

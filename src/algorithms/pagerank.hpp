@@ -182,6 +182,9 @@ class PageRankProgram {
     return {ranks_.begin(), ranks_.end()};
   }
 
+  /// values()[v] without building the vector: what a server reads per query.
+  [[nodiscard]] double value(VertexId v) const { return ranks_[v]; }
+
   [[nodiscard]] float epsilon() const { return epsilon_; }
 
  private:

@@ -106,6 +106,9 @@ class AtomicPushPageRankProgram {
     return {ranks_.begin(), ranks_.end()};
   }
 
+  /// values()[v] without building the vector: what a server reads per query.
+  [[nodiscard]] double value(VertexId v) const { return ranks_[v]; }
+
  private:
   float epsilon_;
   float damping_;

@@ -274,6 +274,9 @@ class SsspProgram {
     return {dists_.begin(), dists_.end()};
   }
 
+  /// values()[v] without building the vector: what a server reads per query.
+  [[nodiscard]] double value(VertexId v) const { return dists_[v]; }
+
   [[nodiscard]] VertexId source() const { return source_; }
   [[nodiscard]] std::uint64_t weight_seed() const { return weight_seed_; }
 

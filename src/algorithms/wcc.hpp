@@ -176,6 +176,9 @@ class WccProgram {
     return {labels_.begin(), labels_.end()};
   }
 
+  /// values()[v] without building the vector: what a server reads per query.
+  [[nodiscard]] double value(VertexId v) const { return labels_[v]; }
+
  private:
   std::vector<std::uint32_t> labels_;
 };

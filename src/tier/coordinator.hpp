@@ -38,14 +38,16 @@
 // Threading: one poll() loop plus one epoch worker. `recompute` seals the
 // batch on the loop and hands it to the worker, which runs apply_epoch
 // without compaction and wakes the loop through a self-pipe; the loop then
-// finishes the epoch (deferred compaction, values_ refresh, ReplicationLog
-// append, peer pump, the issuer's reply). While an epoch is in flight the
-// loop touches g_, inc_ and prog_ only through live_value in the kRunning
-// phase: `recompute`, `stats` and plain queries wait for the epoch to land,
-// and so does a peer that needs a snapshot or a compaction fence; mutate,
-// mbatch, hello, quit and parse errors are answered at once. values_,
-// replog_ and snap_cache_ are written on the loop thread only. Stdio has no
-// worker: each epoch runs inline through the same two functions.
+// finishes the epoch (deferred compaction, ready-line refresh,
+// ReplicationLog append, peer pump, the issuer's reply). While an epoch is in
+// flight the loop touches g_, inc_ and prog_ only through live_value in the
+// kRunning phase: `recompute`, `stats` and plain queries wait for the epoch
+// to land, and so does a peer that needs a snapshot or a compaction fence;
+// mutate, mbatch, hello, quit and parse errors are answered at once. A plain
+// query is answered only when no epoch is in flight, so it reads the
+// program's own state (prog_.value) with no per-epoch copy. replog_ and
+// snap_cache_ are written on the loop thread only. Stdio has no worker: each
+// epoch runs inline through the same two functions.
 //
 // --live-queries: a query that arrives while the worker is inside its racy
 // engine run is answered FROM THE LIVE EDGE ARRAYS through the configured
@@ -139,10 +141,10 @@ class Coordinator {
         prog_(std::move(prog)),
         inc_(g_, prog_, std::move(gate), eopts, ekind),
         replog_(opts.history),
-        opts_(std::move(opts)) {
+        opts_(std::move(opts)),
+        num_vertices_(g_.num_vertices()) {
     inc_.set_run_hold_ms(opts_.epoch_hold_ms);
     inc_.recompute_cold();
-    values_ = prog_.values();
     ready_ = ready_line();
     if (!opts_.client_socket.empty()) {
       client_listen_ = listen_unix(opts_.client_socket);
@@ -394,7 +396,6 @@ class Coordinator {
     dyn::EpochResult& r = landed.result;
     r.compacted = g_.should_compact();
     if (r.compacted) inc_.compact_now();
-    values_ = prog_.values();
     ready_ = ready_line();
     replog_.append_batch(inflight_epoch_, std::move(landed.shipped),
                          r.compacted);
@@ -504,7 +505,7 @@ class Coordinator {
         std::uint64_t v = 0;
         if (!msg.get_u64("vertex", v)) {
           conn.queue_line(tier_error("query: missing field: vertex"));
-        } else if (v >= values_.size()) {
+        } else if (v >= num_vertices_) {
           conn.queue_line(
               tier_error("query: vertex out of range: " + std::to_string(v)));
         } else if (const auto qr = answer_query(v)) {
@@ -582,7 +583,7 @@ class Coordinator {
             frame_error(conn, err);
             break;
           }
-          if (v >= values_.size()) {
+          if (v >= num_vertices_) {
             frame_error(conn,
                         "query: vertex out of range: " + std::to_string(v));
             break;
@@ -688,8 +689,9 @@ class Coordinator {
   }
 
   /// A query's answer now, or nullopt while it must wait for the in-flight
-  /// epoch. Quiescent answers come from values_; with --live-queries, a
-  /// query during the racy run reads the live edge arrays (Lemma 1).
+  /// epoch. Quiescent answers read the program directly (no epoch is in
+  /// flight, so the worker is idle); with --live-queries, a query during the
+  /// racy run reads the live edge arrays (Lemma 1).
   [[nodiscard]] std::optional<dyn::QueryReplyBin> answer_query(
       std::uint64_t v) const {
     dyn::QueryReplyBin qr;
@@ -697,7 +699,7 @@ class Coordinator {
     qr.has_quiescent = opts_.live_queries;
     if (!inflight_) {
       qr.quiescent = true;
-      qr.value = values_[v];
+      qr.value = prog_.value(static_cast<VertexId>(v));
       qr.epoch = log_.epoch();
       return qr;
     }
@@ -1087,7 +1089,8 @@ class Coordinator {
   dyn::IncrementalEngine<Program> inc_;
   dyn::ReplicationLog replog_;
   CoordinatorOptions opts_;
-  std::vector<double> values_;
+  /// Query range bound, read while the worker owns g_ (edges only mutate).
+  std::uint64_t num_vertices_;
   std::string ready_;  // greeting as of the last quiescent point
   /// Snapshot shared by every peer re-seeding from the current seq; reset
   /// whenever a record is appended (the graph or seq moved on). Peers

@@ -91,7 +91,6 @@ class Replica {
         opts_(std::move(opts)) {
     inc_.emplace(g_, prog_, gate_, eopts_, ekind_);
     inc_->recompute_cold();
-    values_ = prog_.values();
     push_history();
     listen_fd_ = listen_unix(replica_sock(opts_.dir, opts_.id));
     rep_.fd = connect_unix(rep_sock(opts_.dir));
@@ -375,15 +374,17 @@ class Replica {
   /// replica's applied watermark — a bounded delay, never an unbounded one.
   void push_history() {
     if (opts_.chaos_stale_records == 0) return;
-    history_.push_back(ServedState{values_, epoch_, cursor_});
+    history_.push_back(ServedState{prog_.values(), epoch_, cursor_});
     while (history_.size() >
            static_cast<std::size_t>(opts_.chaos_stale_records) + 1) {
       history_.pop_front();
     }
   }
 
-  [[nodiscard]] const std::vector<double>& serve_values() const {
-    return history_.empty() ? values_ : history_.front().values;
+  /// Reads run on the loop that replays, never during a replay, so without
+  /// stale chaos they read the program's own state directly.
+  [[nodiscard]] double serve_value(VertexId v) const {
+    return history_.empty() ? prog_.value(v) : history_.front().values[v];
   }
   [[nodiscard]] std::uint64_t serve_epoch() const {
     return history_.empty() ? epoch_ : history_.front().epoch;
@@ -403,7 +404,6 @@ class Replica {
     }
     cursor_ = cur_rec_.seq;
     epoch_ = cur_rec_.epoch;
-    values_ = prog_.values();
     push_history();
     ++records_replayed_;
     cur_rec_ = dyn::RepRecord{};
@@ -439,7 +439,6 @@ class Replica {
     snap_weights_ = std::vector<float>{};
     inc_.emplace(g_, prog_, gate_, eopts_, ekind_);
     inc_->recompute_cold();
-    values_ = prog_.values();
     cursor_ = snap_header_.seq;
     epoch_ = snap_header_.epoch;
     // A snapshot starts a fresh lineage: pre-snapshot states belong to a
@@ -522,13 +521,13 @@ class Replica {
         std::uint64_t v = 0;
         if (!msg.get_u64("vertex", v)) {
           c.queue_line(tier_error("query: missing field: vertex"));
-        } else if (v >= serve_values().size()) {
+        } else if (v >= g_.num_vertices()) {
           c.queue_line(
               tier_error("query: vertex out of range: " + std::to_string(v)));
         } else {
           dyn::WireWriter w;
           w.boolean("ok", true).u64("vertex", v);
-          tier_value_field(w, serve_values()[v]);
+          tier_value_field(w, serve_value(static_cast<VertexId>(v)));
           c.queue_line(
               w.u64("epoch", serve_epoch()).u64("replica", opts_.id).finish());
         }
@@ -581,7 +580,7 @@ class Replica {
             c.queue_frame(dyn::FrameType::kError, err);
             break;
           }
-          if (v >= serve_values().size()) {
+          if (v >= g_.num_vertices()) {
             c.queue_frame(
                 dyn::FrameType::kError,
                 "query: vertex out of range: " + std::to_string(v));
@@ -589,7 +588,7 @@ class Replica {
           }
           dyn::QueryReplyBin qr;
           qr.vertex = v;
-          qr.value = serve_values()[v];
+          qr.value = serve_value(static_cast<VertexId>(v));
           qr.epoch = serve_epoch();
           c.queue_frame(dyn::FrameType::kQueryReply,
                         dyn::encode_query_reply(qr));
@@ -630,7 +629,6 @@ class Replica {
   dyn::DynGraphOptions graph_opts_;
   ReplicaOptions opts_;
   std::optional<dyn::IncrementalEngine<Program>> inc_;
-  std::vector<double> values_;
 
   /// One retained serving state for the stale chaos mode.
   struct ServedState {

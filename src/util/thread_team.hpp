@@ -1,12 +1,13 @@
 #pragma once
-// Thread-team helpers. The engines follow an SPMD structure: spawn T workers
-// once per run, keep them alive across iterations (synchronizing on a
-// SpinBarrier), and join at the end. That matches the paper's system model,
-// where the same P threads persist for all N iterations. Every parallel
-// engine runs this way: the barriered NE skeleton (run_barriered in
-// engine/nondeterministic.hpp), the speculative engine, PSW and OOC-NE. A
-// phase that only one thread may run (advancing the frontier, partitioning an
-// interval, loading a shard) runs on thread 0 between two barriers.
+// Thread-team helpers. The engines follow an SPMD structure: run T workers
+// once per run (the caller is worker 0, the rest are spawned), keep them
+// alive across iterations (synchronizing on a SpinBarrier), and join at the
+// end. That matches the paper's system model, where the same P threads
+// persist for all N iterations. Every parallel engine runs this way: the
+// barriered NE skeleton (run_barriered in engine/nondeterministic.hpp), the
+// speculative engine, PSW and OOC-NE. A phase that only one thread may run
+// (advancing the frontier, partitioning an interval, loading a shard) runs on
+// thread 0 between two barriers.
 
 #include <algorithm>
 #include <cstddef>
@@ -17,17 +18,21 @@
 
 namespace ndg {
 
-/// Runs fn(thread_id) on `num_threads` threads and joins them all.
-/// thread_id 0 runs on a spawned thread too, so the caller's thread is free
-/// (and so that all workers have symmetric scheduling behaviour).
+/// Runs fn(thread_id) for thread ids 0..num_threads-1 and returns when all
+/// have finished. Worker 0 runs on the calling thread, so the caller is busy
+/// for the whole run and only num_threads - 1 threads are spawned: a
+/// one-thread run spawns none. An exception escaping worker 0 calls
+/// std::terminate, as one escaping a spawned worker does, so no path unwinds
+/// past joinable threads or leaves peers waiting at a barrier.
 template <typename Fn>
 void run_team(std::size_t num_threads, Fn&& fn) {
   NDG_ASSERT(num_threads >= 1);
   std::vector<std::thread> team;
-  team.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
+  team.reserve(num_threads - 1);
+  for (std::size_t t = 1; t < num_threads; ++t) {
     team.emplace_back([&fn, t] { fn(t); });
   }
+  [&fn]() noexcept { fn(0); }();
   for (auto& th : team) th.join();
 }
 

@@ -87,8 +87,8 @@ TEST_P(DatasetSweep, SsspExactUnderSimulatedRaces) {
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetSweep,
                          ::testing::ValuesIn(all_datasets()),
-                         [](const auto& info) {
-                           std::string name = to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name = to_string(param_info.param);
                            for (auto& c : name) {
                              if (c == '-') c = '_';
                            }

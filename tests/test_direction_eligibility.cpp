@@ -230,7 +230,9 @@ TEST(DirectionEligibility, RegistryCarriesDirectionSurface) {
     const EngineResult r = entry.run_directed(g, opts);
     // Label propagation's convergence is input-dependent by declaration;
     // everything else must drain.
-    if (entry.name != "label-propagation") EXPECT_TRUE(r.converged) << entry.name;
+    if (entry.name != "label-propagation") {
+      EXPECT_TRUE(r.converged) << entry.name;
+    }
     EXPECT_EQ(r.direction_push.size(), r.iterations) << entry.name;
     EXPECT_EQ(r.push_iterations(), 0u) << entry.name;
 

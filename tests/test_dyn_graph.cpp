@@ -105,7 +105,9 @@ TEST(DynGraph, MixedBatchUpdatesTheView) {
   ASSERT_NE(rw, kInvalidEdge);
   EXPECT_FLOAT_EQ(dg.edge_weight(rw), 7.5f);
   const EdgeId in0 = dg.find_edge(127, 0);
-  if (in0 != kInvalidEdge) EXPECT_FLOAT_EQ(dg.edge_weight(in0), 2.0f);
+  if (in0 != kInvalidEdge) {
+    EXPECT_FLOAT_EQ(dg.edge_weight(in0), 2.0f);
+  }
 }
 
 TEST(DynGraph, AppliedRecordsCarryIdsAndOldWeights) {

@@ -384,6 +384,44 @@ TEST_P(DynPolicies, WccLiveValueEqualsQuiescentLabels) {
   }
 }
 
+/// The servers answer quiescent queries with value(v) instead of copying
+/// values(): the two must agree exactly after a cold run and after an epoch.
+template <typename Program>
+void expect_value_is_values_entry(Program prog, EligibilityVerdict verdict,
+                                  DynGraphOptions gopts, AtomicityMode mode) {
+  DynGraph dg(base_graph(), std::move(gopts));
+  IncrementalEngine<Program> inc(dg, prog, EligibilityGate(verdict),
+                                 make_opts(mode));
+  const auto check = [&prog](const char* when) {
+    const std::vector<double> all = prog.values();
+    ASSERT_EQ(all.size(), kV);
+    for (VertexId v = 0; v < kV; ++v) {
+      ASSERT_EQ(prog.value(v), all[v]) << prog.name() << " " << when
+                                       << " v=" << v;
+    }
+  };
+  inc.recompute_cold();
+  check("cold");
+  inc.apply_epoch(random_batch(dg, 5, /*monotone_only=*/true));
+  check("epoch");
+}
+
+TEST_P(DynPolicies, ServedProgramsValueIsValuesEntry) {
+  DynGraphOptions sssp_opts;
+  sssp_opts.base_weight = [](EdgeId e) {
+    return SsspProgram::edge_weight(42, e);
+  };
+  expect_value_is_values_entry(SsspProgram(0, 42),
+                               EligibilityVerdict::kTheorem2, sssp_opts,
+                               GetParam());
+  expect_value_is_values_entry(WccProgram(), EligibilityVerdict::kTheorem2,
+                               {}, GetParam());
+  expect_value_is_values_entry(PageRankProgram(1e-4f),
+                               EligibilityVerdict::kTheorem1, {}, GetParam());
+  expect_value_is_values_entry(AtomicPushPageRankProgram(1e-4f),
+                               EligibilityVerdict::kNotProven, {}, GetParam());
+}
+
 TEST(DynIncremental, PageRankLiveValueAgreesWithinLocalConvergence) {
   DynGraph dg(base_graph());
   PageRankProgram prog(/*epsilon=*/1e-4f);

@@ -113,9 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          AtomicityMode::kSeqCst),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{4}, std::size_t{8})),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_t" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(to_string(std::get<0>(param_info.param))) + "_t" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(NondetEngine, SingleThreadMatchesDeterministicBitwise) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -139,6 +141,39 @@ TEST(AtomicBitset, ConcurrentSettersCountEachBitOnce) {
   EXPECT_EQ(b.count(), kBits);
 }
 
+TEST(RunTeam, OneThreadRunsOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id seen;
+  std::size_t calls = 0;
+  run_team(1, [&](std::size_t tid) {
+    EXPECT_EQ(tid, 0u);
+    seen = std::this_thread::get_id();
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(seen, caller);
+}
+
+TEST(RunTeam, WorkerZeroOnTheCallerOthersOnDistinctThreads) {
+  constexpr std::size_t kThreads = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::array<std::thread::id, kThreads> ids{};
+  std::array<std::atomic<int>, kThreads> calls{};
+  SpinBarrier barrier(kThreads);
+  run_team(kThreads, [&](std::size_t tid) {
+    ids[tid] = std::this_thread::get_id();
+    calls[tid].fetch_add(1);
+    // All four are alive at once: none of them can be a reused thread.
+    bool sense = false;
+    barrier.arrive_and_wait(sense);
+  });
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(calls[t].load(), 1);
+  EXPECT_EQ(ids[0], caller);
+  const std::set<std::thread::id> others(ids.begin() + 1, ids.end());
+  EXPECT_EQ(others.size(), kThreads - 1);
+  EXPECT_FALSE(others.contains(caller));
+}
+
 TEST(Barrier, RendezvousOrdersPhases) {
   constexpr std::size_t kThreads = 4;
   constexpr int kRounds = 50;
@@ -151,7 +186,9 @@ TEST(Barrier, RendezvousOrdersPhases) {
       counter.fetch_add(1);
       barrier.arrive_and_wait(sense);
       // Between barriers every thread must observe the full round's count.
-      if (counter.load() != kThreads * (r + 1)) failed.store(true);
+      if (counter.load() != static_cast<int>(kThreads) * (r + 1)) {
+        failed.store(true);
+      }
       barrier.arrive_and_wait(sense);
     }
   });
