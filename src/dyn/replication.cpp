@@ -1,33 +1,10 @@
 #include "dyn/replication.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
 
 namespace ndg::dyn {
-
-namespace {
-
-bool fail(std::string* err, const char* what) {
-  if (err != nullptr) *err = what;
-  return false;
-}
-
-bool parse_kind(const std::string& s, MutationKind& out) {
-  if (s == "insert") {
-    out = MutationKind::kInsertEdge;
-  } else if (s == "delete") {
-    out = MutationKind::kDeleteEdge;
-  } else if (s == "weight") {
-    out = MutationKind::kWeightChange;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 const RepRecord& ReplicationLog::push(RepRecord rec) {
   rec.seq = next_seq_++;
@@ -67,155 +44,12 @@ const RepRecord& ReplicationLog::get(std::uint64_t seq) const {
   return records_[seq - records_.front().seq];
 }
 
-std::string encode_record_header(const RepRecord& rec) {
-  return WireWriter()
-      .str("op", "replicate")
-      .u64("seq", rec.seq)
-      .str("kind", rec.kind == RepKind::kBatch ? "batch" : "compact")
-      .u64("epoch", rec.epoch)
-      .u64("count", rec.muts.size())
-      .boolean("compact", rec.compact_after)
-      .finish();
-}
-
-std::string encode_applied(const AppliedMutation& m) {
-  return WireWriter()
-      .str("op", "rmut")
-      .str("kind", to_string(m.kind))
-      .u64("src", m.src)
-      .u64("dst", m.dst)
-      .u64("id", m.id)
-      .num("weight", m.weight)
-      .num("old", m.old_weight)
-      .finish();
-}
-
-std::string encode_snapshot_header(const SnapshotHeader& h) {
-  return WireWriter()
-      .str("op", "snapshot")
-      .u64("seq", h.seq)
-      .u64("epoch", h.epoch)
-      .u64("vertices", h.vertices)
-      .u64("edges", h.edges)
-      .finish();
-}
-
-std::string encode_snapshot_edge(const SnapshotEdge& e) {
-  return WireWriter()
-      .str("op", "sedge")
-      .u64("src", e.src)
-      .u64("dst", e.dst)
-      .num("weight", e.weight)
-      .finish();
-}
-
-std::string encode_sync(std::uint64_t replica, std::uint64_t seq) {
-  return WireWriter()
-      .str("op", "sync")
-      .u64("replica", replica)
-      .u64("seq", seq)
-      .finish();
-}
-
-std::string encode_ack(std::uint64_t replica, std::uint64_t seq,
-                       std::uint64_t epoch) {
-  return WireWriter()
-      .str("op", "ack")
-      .u64("replica", replica)
-      .u64("seq", seq)
-      .u64("epoch", epoch)
-      .finish();
-}
-
-bool parse_record_header(const WireMessage& msg, RepRecord& out,
-                         std::uint64_t& count, std::string* err) {
-  std::string kind;
-  if (!msg.get_string("kind", kind)) {
-    return fail(err, "replicate: missing field: kind");
-  }
-  if (kind == "batch") {
-    out.kind = RepKind::kBatch;
-  } else if (kind == "compact") {
-    out.kind = RepKind::kCompact;
-  } else {
-    return fail(err, "replicate: unknown kind");
-  }
-  if (!msg.get_u64("seq", out.seq) || !msg.get_u64("epoch", out.epoch) ||
-      !msg.get_u64("count", count)) {
-    return fail(err, "replicate: missing field: seq/epoch/count");
-  }
-  if (count > kMaxRecordMuts) {
-    return fail(err, "replicate: count exceeds record bound");
-  }
-  out.compact_after = false;
-  msg.get_bool("compact", out.compact_after);
-  out.muts.clear();
-  // The count is wire data: trust it for scheduling but not for allocation —
-  // reserve a modest floor and let push_back grow the rare giant record.
-  out.muts.reserve(std::min<std::uint64_t>(count, 1u << 16));
-  return true;
-}
-
-bool parse_applied(const WireMessage& msg, AppliedMutation& out,
-                   std::string* err) {
-  std::string kind;
-  std::uint64_t src = 0;
-  std::uint64_t dst = 0;
-  std::uint64_t id = 0;
-  double weight = 0.0;
-  double old_weight = 0.0;
-  if (!msg.get_string("kind", kind) || !parse_kind(kind, out.kind)) {
-    return fail(err, "rmut: bad field: kind");
-  }
-  if (!msg.get_u64("src", src) || !msg.get_u64("dst", dst) ||
-      !msg.get_u64("id", id) || !msg.get_double("weight", weight) ||
-      !msg.get_double("old", old_weight)) {
-    return fail(err, "rmut: missing field: src/dst/id/weight/old");
-  }
-  out.src = static_cast<VertexId>(src);
-  out.dst = static_cast<VertexId>(dst);
-  out.id = static_cast<EdgeId>(id);
-  out.weight = static_cast<float>(weight);
-  out.old_weight = static_cast<float>(old_weight);
-  return true;
-}
-
-bool parse_snapshot_header(const WireMessage& msg, SnapshotHeader& out,
-                           std::string* err) {
-  std::uint64_t vertices = 0;
-  std::uint64_t edges = 0;
-  if (!msg.get_u64("seq", out.seq) || !msg.get_u64("epoch", out.epoch) ||
-      !msg.get_u64("vertices", vertices) || !msg.get_u64("edges", edges)) {
-    return fail(err, "snapshot: missing field: seq/epoch/vertices/edges");
-  }
-  out.vertices = static_cast<VertexId>(vertices);
-  out.edges = static_cast<EdgeId>(edges);
-  return true;
-}
-
-bool parse_snapshot_edge(const WireMessage& msg, SnapshotEdge& out,
-                         std::string* err) {
-  std::uint64_t src = 0;
-  std::uint64_t dst = 0;
-  double weight = 1.0;
-  if (!msg.get_u64("src", src) || !msg.get_u64("dst", dst) ||
-      !msg.get_double("weight", weight)) {
-    return fail(err, "sedge: missing field: src/dst/weight");
-  }
-  out.src = static_cast<VertexId>(src);
-  out.dst = static_cast<VertexId>(dst);
-  out.weight = static_cast<float>(weight);
-  return true;
-}
-
-// ── Binary codec ────────────────────────────────────────────────────────────
-
 namespace {
 
 constexpr std::size_t kAppliedBytes = 25;  // kind|src|dst|id|weight|old
 constexpr std::size_t kSnapEdgeBytes = 12;  // src u32 | dst u32 | weight f32
 
-bool fail_s(std::string* err, const std::string& what) {
+bool fail(std::string* err, const char* what) {
   if (err != nullptr) *err = what;
   return false;
 }
@@ -249,22 +83,22 @@ bool decode_record_bin(std::string_view p, RepRecord& out, std::string* err) {
   if (!get_u64(p, off, out.seq) || !get_u8(p, off, kind) ||
       !get_u64(p, off, out.epoch) || !get_u8(p, off, compact) ||
       !get_u32(p, off, count)) {
-    return fail_s(err, "replicate: truncated record header");
+    return fail(err, "replicate: truncated record header");
   }
   if (kind > static_cast<std::uint8_t>(RepKind::kCompact)) {
-    return fail_s(err, "replicate: unknown kind byte");
+    return fail(err, "replicate: unknown kind byte");
   }
   out.kind = static_cast<RepKind>(kind);
   out.compact_after = compact != 0;
-  // Same hardening as the JSON header path: a wire count above the record
-  // bound is a parse error, and the exact-size check below makes any count
-  // that disagrees with the frame a parse error too (never a bad reserve —
-  // kMaxFrameLen already bounds what can reach this function).
+  // A wire count above the record bound is a parse error, and the
+  // exact-size check below makes any count that disagrees with the frame a
+  // parse error too (never a bad reserve — kMaxFrameLen already bounds what
+  // can reach this function).
   if (count > kMaxRecordMuts) {
-    return fail_s(err, "replicate: count exceeds record bound");
+    return fail(err, "replicate: count exceeds record bound");
   }
   if (p.size() != off + static_cast<std::uint64_t>(count) * kAppliedBytes) {
-    return fail_s(err, "replicate: count disagrees with payload size");
+    return fail(err, "replicate: count disagrees with payload size");
   }
   out.muts.clear();
   out.muts.reserve(count);
@@ -280,7 +114,7 @@ bool decode_record_bin(std::string_view p, RepRecord& out, std::string* err) {
     get_f32(p, off, m.weight);
     get_f32(p, off, m.old_weight);
     if (mk > static_cast<std::uint8_t>(MutationKind::kWeightChange)) {
-      return fail_s(err, "rmut: unknown kind byte");
+      return fail(err, "rmut: unknown kind byte");
     }
     m.kind = static_cast<MutationKind>(mk);
     out.muts.push_back(m);
@@ -304,7 +138,7 @@ bool decode_snapshot_header_bin(std::string_view p, SnapshotHeader& out,
   if (!get_u64(p, off, out.seq) || !get_u64(p, off, out.epoch) ||
       !get_u32(p, off, out.vertices) || !get_u64(p, off, edges) ||
       off != p.size()) {
-    return fail_s(err, "snapshot: malformed header payload");
+    return fail(err, "snapshot: malformed header payload");
   }
   out.edges = static_cast<EdgeId>(edges);
   return true;
@@ -337,10 +171,10 @@ bool decode_snapshot_chunk(std::string_view p, std::vector<SnapshotEdge>& out,
   std::size_t off = 0;
   std::uint32_t count = 0;
   if (!get_u32(p, off, count)) {
-    return fail_s(err, "sedge: truncated chunk payload");
+    return fail(err, "sedge: truncated chunk payload");
   }
   if (p.size() != 4 + static_cast<std::uint64_t>(count) * kSnapEdgeBytes) {
-    return fail_s(err, "sedge: count disagrees with payload size");
+    return fail(err, "sedge: count disagrees with payload size");
   }
   out.reserve(out.size() + count);
   if constexpr (std::endian::native == std::endian::little) {
@@ -371,7 +205,7 @@ bool decode_sync_bin(std::string_view p, std::uint64_t& replica,
   std::size_t off = 0;
   if (!get_u64(p, off, replica) || !get_u64(p, off, seq) ||
       off != p.size()) {
-    return fail_s(err, "sync: malformed payload");
+    return fail(err, "sync: malformed payload");
   }
   return true;
 }
@@ -391,7 +225,7 @@ bool decode_ack_bin(std::string_view p, std::uint64_t& replica,
   std::size_t off = 0;
   if (!get_u64(p, off, replica) || !get_u64(p, off, seq) ||
       !get_u64(p, off, epoch) || off != p.size()) {
-    return fail_s(err, "ack: malformed payload");
+    return fail(err, "ack: malformed payload");
   }
   return true;
 }

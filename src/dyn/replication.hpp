@@ -14,11 +14,12 @@
 // keeps edge ids convergent — DynGraph::compact is deterministic in the
 // live edge set.
 //
-// The wire format reuses dyn/wire.* newline-delimited flat JSON: a record is
-// a header line followed by `count` one-mutation lines; a snapshot is a
-// header line followed by `edges` one-edge lines in canonical (src, dst)
-// order (edge k's id is k after the rebuild, matching the coordinator's
-// post-compaction ids).
+// The wire format is bin1 frames (dyn/wire.hpp): a record is one
+// kRepRecord frame; a snapshot is a kSnapshot header frame followed by
+// kSnapChunk frames carrying the live edges in canonical (src, dst) order
+// (edge k's id is k after the rebuild, matching the coordinator's
+// post-compaction ids). The replica opens with a kSync frame and acks each
+// applied record or snapshot with a kAck frame.
 
 #include <cstdint>
 #include <deque>
@@ -95,41 +96,13 @@ struct SnapshotHeader {
   EdgeId edges = 0;
 };
 
-// --- Wire encoding (one flat JSON object per line, no trailing newline) ---
-
-[[nodiscard]] std::string encode_record_header(const RepRecord& rec);
-[[nodiscard]] std::string encode_applied(const AppliedMutation& m);
-[[nodiscard]] std::string encode_snapshot_header(const SnapshotHeader& h);
-[[nodiscard]] std::string encode_snapshot_edge(const SnapshotEdge& e);
-/// Replica -> coordinator: cursor handshake ("give me records after `seq`").
-[[nodiscard]] std::string encode_sync(std::uint64_t replica,
-                                      std::uint64_t seq);
-/// Replica -> coordinator: record/snapshot applied through `seq`/`epoch`.
-[[nodiscard]] std::string encode_ack(std::uint64_t replica, std::uint64_t seq,
-                                     std::uint64_t epoch);
-
-/// Hard ceiling on a record header's wire-supplied `count` field — far
+/// Hard ceiling on a record frame's wire-supplied `count` field — far
 /// above any batch a coordinator actually seals, low enough that a corrupt
-/// line (count=1e18) is rejected as a parse error instead of driving a
-/// multi-gigabyte reserve / bad_alloc.
+/// header is rejected as a parse error instead of driving a multi-gigabyte
+/// reserve / bad_alloc.
 inline constexpr std::uint64_t kMaxRecordMuts = std::uint64_t{1} << 28;
 
-/// Header parse results. Every parse_* returns false (with a diagnostic in
-/// `err` when non-null) on a malformed message; the caller decides whether
-/// that is fatal (replicas treat any malformed replication line as fatal).
-bool parse_record_header(const WireMessage& msg, RepRecord& out,
-                         std::uint64_t& count, std::string* err = nullptr);
-bool parse_applied(const WireMessage& msg, AppliedMutation& out,
-                   std::string* err = nullptr);
-bool parse_snapshot_header(const WireMessage& msg, SnapshotHeader& out,
-                           std::string* err = nullptr);
-bool parse_snapshot_edge(const WireMessage& msg, SnapshotEdge& out,
-                         std::string* err = nullptr);
-
-// ── Binary replication codec (frames, docs/TIER.md) ─────────────────────────
-//
-// When a replica negotiates bin1 on the replication socket, records and
-// snapshots travel as frames instead of line groups:
+// ── Replication codec (frames, docs/TIER.md) ────────────────────────────────
 //
 //   kRepRecord  seq u64 | kind u8 | epoch u64 | compact u8 | count u32
 //               | count x (kind u8|src u32|dst u32|id u64|weight f32|old f32)
@@ -138,13 +111,12 @@ bool parse_snapshot_edge(const WireMessage& msg, SnapshotEdge& out,
 //   kAck        replica u64 | seq u64 | epoch u64
 //   kSync       replica u64 | seq u64
 //
-// A whole record is ONE frame — one syscall per epoch shipped instead of
-// 1 + count line writes — and snapshot chunks are raw 12 B/edge images of
-// the coordinator's shared SnapshotData buffer (on little-endian hosts the
-// chunk body is a straight memcpy of the SnapshotEdge array). decode_* apply
-// the same hardening as the JSON parsers: kMaxRecordMuts on the count field
-// and an exact payload-size check, so a lying header is a parse error, not
-// an allocation.
+// A whole record is ONE frame — one write per epoch shipped — and snapshot
+// chunks are raw 12 B/edge images of the coordinator's shared SnapshotData
+// buffer (on little-endian hosts the chunk body is a straight memcpy of the
+// SnapshotEdge array). Every decode_* checks the exact payload size, and
+// decode_record_bin bounds the count field by kMaxRecordMuts, so a lying
+// header is a parse error, not an allocation.
 
 [[nodiscard]] std::string encode_record_bin(const RepRecord& rec);
 bool decode_record_bin(std::string_view p, RepRecord& out,

@@ -84,9 +84,10 @@ class WireWriter {
 
 // ── Binary framing ("bin1", docs/DYNAMIC.md) ────────────────────────────────
 //
-// A connection starts in newline-JSON and may upgrade exactly once with
-// {"op":"hello","proto":"bin1"}. The server answers with a JSON ok line and
-// from then on BOTH directions speak length-prefixed frames:
+// A client connection starts in newline-JSON and may upgrade exactly once
+// with {"op":"hello","proto":"bin1"}. The server answers with a JSON ok line
+// and from then on BOTH directions speak length-prefixed frames (the tier's
+// replication socket skips the upgrade: frames from the first byte):
 //
 //   u32 len (LE, payload bytes) | u8 type | payload[len]
 //

@@ -6,7 +6,8 @@
 // with no replication socket, or speaks to one client over stdin/stdout.
 // Every transport goes through the same two client op dispatches
 // (dispatch_lines for newline JSON, dispatch_frames for bin1) and the same
-// epoch code (run_epoch, finish_epoch).
+// epoch code (run_epoch, finish_epoch). Replication peers on rep.sock speak
+// bin1 frames only (dyn/replication.hpp), from their first byte.
 //
 // The coordinator is the ONLY process that owns a MutationLog: every write
 // enters here, is sealed into an epoch batch on `recompute`, applied to the
@@ -264,9 +265,8 @@ class Coordinator {
 
   /// One consistent snapshot: the canonical live edge list at the moment
   /// `header.seq` was the newest record. Shared (immutable) between every
-  /// peer re-seeding from the same point; 12 bytes/edge instead of the
-  /// ~70-byte encoded line, and encoded lazily per peer as its socket
-  /// drains.
+  /// peer re-seeding from the same point; 12 bytes/edge, encoded lazily
+  /// per peer as its socket drains.
   struct SnapshotData {
     dyn::SnapshotHeader header;
     std::vector<dyn::SnapshotEdge> edges;
@@ -296,7 +296,7 @@ class Coordinator {
   /// pauses once out_buf reaches this and resumes as POLLOUT drains it.
   static constexpr std::size_t kSnapshotChunkBytes = 256 * 1024;
 
-  /// Edges per kSnapChunk frame on a binary peer (~96 KiB of payload); the
+  /// Edges per kSnapChunk frame (~96 KiB of payload); the
   /// kSnapshotChunkBytes backlog bound still governs how many frames are
   /// buffered at once.
   static constexpr std::size_t kSnapEdgesPerChunk = 8192;
@@ -429,7 +429,10 @@ class Coordinator {
       set_nonblocking(fd);
       const std::uint64_t id = ++next_id_;
       if (peer) {
-        peers_[id].conn.fd = fd;
+        // rep.sock speaks bin1 frames from byte 0 in both directions.
+        LineConn& c = peers_[id].conn;
+        c.fd = fd;
+        c.proto = dyn::WireProto::kBin;
       } else {
         LineConn& c = clients_[id].conn;
         c.fd = fd;
@@ -629,17 +632,13 @@ class Coordinator {
       "shutdown: refused (ndg_serve stops only on quit, with "
       "--allow-shutdown)";
 
-  /// Sanctioned stop issued by client `id`: tell every replica (on whichever
-  /// protocol it speaks) to exit; the loop ends once the epoch in flight
-  /// has landed, the issuer's bye is flushed and every peer has drained.
+  /// Sanctioned stop issued by client `id`: tell every replica to exit; the
+  /// loop ends once the epoch in flight has landed, the issuer's bye is
+  /// flushed and every peer has drained.
   void stop_server(std::uint64_t id) {
     for (auto& [pid, p] : peers_) {
-      if (p.conn.proto == dyn::WireProto::kBin) {
-        p.conn.queue_frame(dyn::FrameType::kShutdown, {});
-        p.conn.flush();
-      } else {
-        p.conn.queue_line(dyn::WireWriter().str("op", "shutdown").finish());
-      }
+      p.conn.queue_frame(dyn::FrameType::kShutdown, {});
+      p.conn.flush();
       p.conn.draining = true;
     }
     shutdown_ = true;
@@ -822,54 +821,11 @@ class Coordinator {
 
   // --- Replication peer path ---
 
+  /// A peer that does not speak frames breaks at its first bytes (a JSON
+  /// line's length field exceeds kMaxFrameLen); a frame with a malformed
+  /// payload counts as a parse error. Either way reap() drops the peer.
   void drain_peer(RepPeer& p) {
-    // A replica opens in newline-JSON; a binary one pipelines
-    // {"op":"hello","proto":"bin1"} + a kSync frame, so the hello upgrade
-    // falls through to the frame pump in the same pass.
-    while (!p.conn.broken && p.conn.proto == dyn::WireProto::kJson &&
-           !p.conn.pending.empty()) {
-      const std::string line = std::move(p.conn.pending.front());
-      p.conn.pending.pop_front();
-      if (line.empty()) continue;
-      dyn::WireMessage msg;
-      std::string err;
-      std::string op;
-      if (!parse_wire(line, msg, &err) || !msg.get_string("op", op)) {
-        std::cerr << "ndg_tier: bad replication line: " << err << "\n";
-        ++parse_errors_;
-        p.conn.broken = true;
-        return;
-      }
-      if (op == "hello") {
-        std::string proto;
-        if (!msg.get_string("proto", proto) || proto != dyn::kBinProtoName) {
-          std::cerr << "ndg_tier: bad replication hello\n";
-          p.conn.broken = true;
-          return;
-        }
-        p.conn.queue_line(dyn::WireWriter()
-                              .boolean("ok", true)
-                              .str("proto", dyn::kBinProtoName)
-                              .finish());
-        p.conn.upgrade_to_bin();
-      } else if (op == "sync") {
-        std::uint64_t seq = 0;
-        msg.get_u64("replica", p.replica_id);
-        msg.get_u64("seq", seq);
-        p.synced = true;
-        p.next_seq = seq + 1;
-      } else if (op == "ack") {
-        msg.get_u64("seq", p.acked_seq);
-        msg.get_u64("epoch", p.acked_epoch);
-        p.awaiting_ack = false;
-      } else {
-        std::cerr << "ndg_tier: unexpected replication op: " << op << "\n";
-        p.conn.broken = true;
-        return;
-      }
-    }
-    while (!p.conn.broken && p.conn.proto == dyn::WireProto::kBin &&
-           !p.conn.frames.empty()) {
+    while (!p.conn.broken && !p.conn.frames.empty()) {
       const dyn::Frame f = std::move(p.conn.frames.front());
       p.conn.frames.pop_front();
       std::string err;
@@ -927,18 +883,9 @@ class Coordinator {
       return;
     }
     const dyn::RepRecord& rec = replog_.get(p.next_seq);
-    if (p.conn.proto == dyn::WireProto::kBin) {
-      // One frame per record: a whole applied epoch ships in one write
-      // instead of 1 + count line round-trips through the buffer.
-      p.conn.queue_frame(dyn::FrameType::kRepRecord,
-                         dyn::encode_record_bin(rec));
-      p.conn.flush();
-    } else {
-      p.conn.queue_line(encode_record_header(rec));
-      for (const dyn::AppliedMutation& m : rec.muts) {
-        p.conn.queue_line(encode_applied(m));
-      }
-    }
+    // One frame per record: a whole applied epoch ships in one write.
+    p.conn.queue_frame(dyn::FrameType::kRepRecord, dyn::encode_record_bin(rec));
+    p.conn.flush();
     p.awaiting_ack = true;
     p.next_seq = rec.seq + 1;
   }
@@ -981,12 +928,8 @@ class Coordinator {
     }
     p.snap = snap_cache_;
     p.snap_pos = 0;
-    if (p.conn.proto == dyn::WireProto::kBin) {
-      p.conn.queue_frame(dyn::FrameType::kSnapshot,
-                         dyn::encode_snapshot_header_bin(p.snap->header));
-    } else {
-      p.conn.queue_line(encode_snapshot_header(p.snap->header));
-    }
+    p.conn.queue_frame(dyn::FrameType::kSnapshot,
+                       dyn::encode_snapshot_header_bin(p.snap->header));
     p.awaiting_ack = true;
     p.next_seq = snap_cache_->header.seq + 1;
     ++snapshots_served_;
@@ -1009,19 +952,13 @@ class Coordinator {
     }
     while (p.snap_pos < p.snap->edges.size() && !p.conn.broken &&
            p.conn.out_buf.size() < kSnapshotChunkBytes) {
-      if (p.conn.proto == dyn::WireProto::kBin) {
-        // 12 B/edge raw chunks straight off the shared snapshot buffer.
-        const std::size_t n = std::min(kSnapEdgesPerChunk,
-                                       p.snap->edges.size() - p.snap_pos);
-        p.conn.queue_frame(
-            dyn::FrameType::kSnapChunk,
-            dyn::encode_snapshot_chunk(p.snap->edges.data() + p.snap_pos, n));
-        p.snap_pos += n;
-      } else {
-        p.conn.queue_line(
-            dyn::encode_snapshot_edge(p.snap->edges[p.snap_pos]));
-        ++p.snap_pos;
-      }
+      // 12 B/edge raw chunks straight off the shared snapshot buffer.
+      const std::size_t n =
+          std::min(kSnapEdgesPerChunk, p.snap->edges.size() - p.snap_pos);
+      p.conn.queue_frame(
+          dyn::FrameType::kSnapChunk,
+          dyn::encode_snapshot_chunk(p.snap->edges.data() + p.snap_pos, n));
+      p.snap_pos += n;
     }
     p.conn.flush();  // queue_frame does not flush; one write per pass
     if (p.snap_pos == p.snap->edges.size()) p.snap.reset();

@@ -3,15 +3,16 @@
 // the coordinator (the one serving front-end, whichever of ndg_serve or
 // ndg_tier launched it), the replicas, bench_tier, bench_serve and the
 // tests all speak the same wire protocols
-// (dyn/wire.hpp — newline-JSON by default, bin1 frames after a hello
-// upgrade) over unix stream sockets, and they all multiplex with the same
-// nonblocking buffered connection state. This header is that shared layer —
+// (dyn/wire.hpp — newline-JSON by default on client sockets, bin1 frames
+// after a hello upgrade; bin1 frames only on rep.sock) over unix stream
+// sockets, and they all multiplex with the same nonblocking buffered
+// connection state. This header is that shared layer —
 // nothing in it knows about graphs or replication, only fds, lines, frames,
 // and the tier's well-known socket names inside a run directory:
 //
 //   <dir>/coord.sock      writes + coordinator-local reads (ndg_tier; ndg_serve
 //                         binds the same coordinator at --socket=PATH)
-//   <dir>/rep.sock        replication stream (replicas only)
+//   <dir>/rep.sock        replication stream (replicas only, bin1 frames)
 //   <dir>/replica-K.sock  read fan-out endpoint of replica K
 
 #include <deque>
@@ -41,11 +42,12 @@ int connect_unix(const std::string& path, int timeout_ms = 10000);
 /// close once out_buf empties, broken = write/protocol error, drop without
 /// ceremony.
 ///
-/// A connection starts in newline-JSON (`proto == kJson`, messages land in
-/// `pending`) and may switch to bin1 framing (`upgrade_to_bin()`, messages
-/// land in `frames`) — this is the FrameConn role folded into the same
-/// struct, because negotiation happens mid-stream on a live connection and
-/// the buffered bytes must carry over losslessly.
+/// A client connection starts in newline-JSON (`proto == kJson`, messages
+/// land in `pending`) and may switch to bin1 framing (`upgrade_to_bin()`,
+/// messages land in `frames`) — this is the FrameConn role folded into the
+/// same struct, because negotiation happens mid-stream on a live connection
+/// and the buffered bytes must carry over losslessly. Both ends of a
+/// replication stream set `proto = kBin` before any byte moves.
 struct LineConn {
   /// Input bounds. A connection whose unterminated line exceeds
   /// kMaxLineBytes is marked broken — no forward progress is possible and

@@ -3,14 +3,17 @@
 //
 // A replica owns a full DynGraph + IncrementalEngine of its own but never
 // validates a mutation: it connects to the coordinator's replication socket,
-// announces its cursor (`sync`), and replays whatever arrives strictly in
-// sequence — batch records through IncrementalEngine::replay_epoch (same
-// warm-or-cold gate decision the coordinator made, taken independently from
-// the replica's own EligibilityGate), compaction fences through
-// compact_now(), and full snapshots by rebuilding the graph from the shipped
-// canonical edge list and cold-recomputing. Each applied record is acked
-// with the seq + epoch it brought the replica to; the ack is what releases
-// the coordinator's window-of-1 for the next record.
+// announces its cursor with a kSync frame (its first bytes; the stream is
+// bin1 frames both ways, dyn/replication.hpp), and replays whatever arrives
+// strictly in sequence — batch records through
+// IncrementalEngine::replay_epoch (same warm-or-cold gate decision the
+// coordinator made, taken independently from the replica's own
+// EligibilityGate), compaction fences through compact_now(), and full
+// snapshots by rebuilding the graph from the shipped canonical edge list and
+// cold-recomputing. Each applied record is acked with the seq + epoch it
+// brought the replica to; the ack is what releases the coordinator's
+// window-of-1 for the next record. A frame it cannot decode is fatal: the
+// replica exits with status 1.
 //
 // Concurrently, the replica serves reads on its own socket
 // (<dir>/replica-K.sock). Replies carry the replica's epoch WATERMARK — the
@@ -68,9 +71,6 @@ struct ReplicaOptions {
   /// stale: serve reads from a retained state up to this many records old
   /// (0 = serve the latest applied state, no chaos).
   std::uint32_t chaos_stale_records = 0;
-  /// Negotiate bin1 framing on the replication stream: records and
-  /// snapshots arrive as frames, acks leave as frames (docs/TIER.md).
-  bool binary = false;
 };
 
 template <VertexProgram Program>
@@ -95,23 +95,10 @@ class Replica {
     listen_fd_ = listen_unix(replica_sock(opts_.dir, opts_.id));
     rep_.fd = connect_unix(rep_sock(opts_.dir));
     set_nonblocking(rep_.fd);
-    if (opts_.binary) {
-      // Pipeline hello + the sync FRAME in one write: the coordinator
-      // upgrades while handling the hello line and parses the rest of the
-      // bytes as frames. Our own receive side stays line-mode until the
-      // hello-ok line arrives (rep_hello_pending_).
-      rep_hello_pending_ = true;
-      rep_.out_buf += dyn::WireWriter()
-                          .str("op", "hello")
-                          .str("proto", dyn::kBinProtoName)
-                          .finish();
-      rep_.out_buf += '\n';
-      rep_.queue_frame(dyn::FrameType::kSync,
-                       dyn::encode_sync_bin(opts_.id, cursor_));
-      rep_.flush();
-    } else {
-      rep_.queue_line(dyn::encode_sync(opts_.id, cursor_));
-    }
+    rep_.proto = dyn::WireProto::kBin;
+    rep_.queue_frame(dyn::FrameType::kSync,
+                     dyn::encode_sync_bin(opts_.id, cursor_));
+    rep_.flush();
   }
 
   ~Replica() {
@@ -124,6 +111,8 @@ class Replica {
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
+  /// 0 after a sanctioned stop or the coordinator going away; 1 after a
+  /// malformed replication frame (die), so the launcher sees a crash.
   int run() {
     std::vector<pollfd> pfds;
     std::vector<std::uint64_t> owner;  // 0 = listener/replication stream
@@ -164,8 +153,7 @@ class Replica {
           drain_replication();
           // Coordinator gone: eof after the stream drained, or a failed ack
           // (it can close mid-replay if shutdown races an in-flight record).
-          if (rep_.broken ||
-              (rep_.eof && rep_.pending.empty() && rep_.frames.empty())) {
+          if (rep_.broken || (rep_.eof && rep_.frames.empty())) {
             stop_ = true;
           }
         } else if (auto it = clients_.find(owner[i]); it != clients_.end()) {
@@ -177,129 +165,30 @@ class Replica {
       }
       reap();
     }
-    return 0;
+    return failed_ ? 1 : 0;
   }
 
  private:
   enum class StreamState {
     kIdle,           // expecting a record or snapshot header
-    kRecordMuts,     // inside a batch record, `need_` rmut lines left
-    kSnapshotEdges,  // inside a snapshot, `need_` sedge lines left
+    kSnapshotEdges,  // inside a snapshot, `need_` edges left
   };
 
   // --- Replication stream ---
 
+  /// A whole batch record arrives in ONE kRepRecord frame; snapshots keep
+  /// the header → chunks → done shape with `need_` counting down per chunk.
   void drain_replication() {
-    // Sequential, not either/or: the hello-ok upgrade can switch the proto
-    // mid-pass with frames already buffered behind it.
-    if (rep_.proto == dyn::WireProto::kJson) drain_replication_lines();
-    if (rep_.proto == dyn::WireProto::kBin) drain_replication_frames();
-  }
-
-  void drain_replication_lines() {
-    // Keep processing lines already read even if the ack path broke —
-    // a trailing shutdown op must still be honoured (acks no-op when
-    // broken).
-    while (!stop_ && rep_.proto == dyn::WireProto::kJson &&
-           !rep_.pending.empty()) {
-      const std::string line = std::move(rep_.pending.front());
-      rep_.pending.pop_front();
-      if (line.empty()) continue;
-      dyn::WireMessage msg;
-      std::string err;
-      std::string op;
-      if (rep_hello_pending_) {
-        // The only line a binary replica ever reads: the coordinator's
-        // hello-ok. Anything else means the upgrade was rejected.
-        bool ok = false;
-        std::string proto;
-        if (!parse_wire(line, msg, &err) || !msg.get_bool("ok", ok) || !ok ||
-            !msg.get_string("proto", proto) || proto != dyn::kBinProtoName) {
-          die("replication hello rejected: " + line);
-          return;
-        }
-        rep_hello_pending_ = false;
-        rep_.upgrade_to_bin();
-        return;  // drain_replication falls through to the frame pump
-      }
-      if (!parse_wire(line, msg, &err) || !msg.get_string("op", op)) {
-        die("bad replication line: " + err);
-        return;
-      }
-      if (op == "shutdown") {
-        // The coordinator streams snapshots in chunks, so a tier-wide stop
-        // can land mid-record or mid-snapshot; honour it from any state.
-        stop_ = true;
-        break;
-      }
-      switch (state_) {
-        case StreamState::kIdle:
-          if (op == "replicate") {
-            if (!parse_record_header(msg, cur_rec_, need_, &err)) {
-              die(err);
-              return;
-            }
-            if (need_ == 0) {
-              complete_record();
-            } else {
-              state_ = StreamState::kRecordMuts;
-            }
-          } else if (op == "snapshot") {
-            if (!parse_snapshot_header(msg, snap_header_, &err)) {
-              die(err);
-              return;
-            }
-            snap_edges_.clear();
-            snap_weights_.clear();
-            need_ = snap_header_.edges;
-            if (need_ == 0) {
-              install_snapshot();
-            } else {
-              state_ = StreamState::kSnapshotEdges;
-            }
-          } else {
-            die("unexpected replication op: " + op);
-            return;
-          }
-          break;
-        case StreamState::kRecordMuts: {
-          dyn::AppliedMutation m;
-          if (op != "rmut" || !parse_applied(msg, m, &err)) {
-            die("expected rmut: " + err);
-            return;
-          }
-          cur_rec_.muts.push_back(m);
-          if (--need_ == 0) complete_record();
-          break;
-        }
-        case StreamState::kSnapshotEdges: {
-          dyn::SnapshotEdge e;
-          if (op != "sedge" || !parse_snapshot_edge(msg, e, &err)) {
-            die("expected sedge: " + err);
-            return;
-          }
-          snap_edges_.push_back(Edge{e.src, e.dst});
-          snap_weights_.push_back(e.weight);
-          if (--need_ == 0) install_snapshot();
-          break;
-        }
-      }
-    }
-  }
-
-  /// Frame replay: a whole batch record arrives in ONE kRepRecord frame (no
-  /// kRecordMuts state on this path); snapshots keep the header → chunks →
-  /// done shape with `need_` counting down per chunk.
-  void drain_replication_frames() {
     while (!stop_ && !rep_.frames.empty()) {
       const dyn::Frame f = std::move(rep_.frames.front());
       rep_.frames.pop_front();
       std::string err;
-      if (f.type == dyn::FrameType::kShutdown) {
-        stop_ = true;
-        return;
-      }
       switch (f.type) {
+        case dyn::FrameType::kShutdown:
+          // Snapshots stream in chunks, so a tier-wide stop can land
+          // mid-snapshot; honour it from any state.
+          stop_ = true;
+          return;
         case dyn::FrameType::kRepRecord:
           if (state_ != StreamState::kIdle) {
             die("record frame inside a snapshot");
@@ -412,13 +301,9 @@ class Replica {
   }
 
   void send_ack() {
-    if (rep_.proto == dyn::WireProto::kBin) {
-      rep_.queue_frame(dyn::FrameType::kAck,
-                       dyn::encode_ack_bin(opts_.id, cursor_, epoch_));
-      rep_.flush();
-    } else {
-      rep_.queue_line(dyn::encode_ack(opts_.id, cursor_, epoch_));
-    }
+    rep_.queue_frame(dyn::FrameType::kAck,
+                     dyn::encode_ack_bin(opts_.id, cursor_, epoch_));
+    rep_.flush();
   }
 
   /// Re-seed from a canonical snapshot: rebuild the base CSR from the
@@ -453,6 +338,7 @@ class Replica {
   void die(const std::string& what) {
     std::cerr << "ndg_tier: replica " << opts_.id << ": " << what << "\n";
     rep_.broken = true;
+    failed_ = true;
     stop_ = true;
   }
 
@@ -639,7 +525,6 @@ class Replica {
   std::deque<ServedState> history_;  // oldest first; front is served
 
   LineConn rep_;  // replication stream to the coordinator
-  bool rep_hello_pending_ = false;  // bin1 requested, ok line not yet seen
   int listen_fd_ = -1;
   std::map<std::uint64_t, LineConn> clients_;
   std::uint64_t next_client_id_ = 0;
@@ -655,6 +540,7 @@ class Replica {
   std::uint64_t records_replayed_ = 0;
   std::uint64_t snapshots_installed_ = 0;
   bool stop_ = false;
+  bool failed_ = false;  // die() ran: exit 1
 };
 
 }  // namespace ndg::tier

@@ -10,7 +10,9 @@
 //  * replies carry the epoch watermark so staleness is observable;
 //  * a replica held back with --chaos=hold:<ms> falls past the coordinator's
 //    bounded history (--history), is re-seeded with a full snapshot instead
-//    of erroring, and converges to the same answers afterwards.
+//    of erroring, and converges to the same answers afterwards;
+//  * rep.sock speaks bin1 frames only: a peer that does not is dropped, and
+//    a replica that receives a malformed frame exits with status 1.
 //
 // The launcher path arrives via the NDG_TIER_BIN compile definition
 // (tools/CMakeLists.txt). Sockets live under mkdtemp(/tmp/...) because
@@ -137,8 +139,9 @@ class Client {
     FAIL() << "could not connect to " << path;
   }
 
-  void send_line(const std::string& line) {
-    const std::string payload = line + "\n";
+  void send_line(const std::string& line) { send_bytes(line + "\n"); }
+
+  void send_bytes(const std::string& payload) {
     std::size_t off = 0;
     while (off < payload.size()) {
       const ssize_t n =
@@ -179,6 +182,25 @@ class Client {
         return {};
       }
       buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// True once the server closes the connection (EOF or reset) within the
+  /// deadline; bytes that arrive before the close are discarded.
+  bool wait_closed(int timeout_ms = 10000) {
+    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      if (left.count() <= 0) return false;
+      pollfd p{fd_, POLLIN, 0};
+      const int rc = ::poll(&p, 1, static_cast<int>(left.count()));
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc <= 0) return false;
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return true;
     }
   }
 
@@ -391,30 +413,26 @@ TEST(Tier, StaleChaosServesBoundedLagWithHonestEpoch) {
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
-// --proto=mixed: replica 0 negotiates the bin1 replication stream (records
-// and snapshots travel as frames) while replica 1 stays on newline JSON.
-// Both are lagged past the 2-record history so each gets re-seeded through
-// its own snapshot encoding, and both must converge to EXACTLY the
-// coordinator's WCC answers — the two transports are interchangeable down
-// to the last bit.
-TEST(Tier, MixedProtocolReplicasConvergeExactly) {
+// Two replicas held back past the 2-record history are each re-seeded by a
+// snapshot (header and edge chunks as frames) and must converge to EXACTLY
+// the coordinator's WCC answers.
+TEST(Tier, TwoLaggedReplicasSnapshotAndConvergeExactly) {
   Tier tier;
-  tier.start({"--replicas=2", "--proto=mixed", "--algo=wcc", "--kind=er",
-              "--vertices=300", "--edges=900", "--seed=7",
-              "--gate=theorem2", "--threads=2", "--history=2",
-              "--chaos=hold:300"});
+  tier.start({"--replicas=2", "--algo=wcc", "--kind=er", "--vertices=300",
+              "--edges=900", "--seed=7", "--gate=theorem2", "--threads=2",
+              "--history=2", "--chaos=hold:300"});
   Client coord;
   coord.connect(tier.coord_sock());
   EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
   wait_for_replicas(coord, 2);
 
-  // One replication peer per protocol, visible in the wire counters.
+  // Both replication peers speak frames; this client speaks JSON.
   const std::string st0 = coord.rpc(R"({"op":"stats"})");
-  EXPECT_GE(num_field(st0, "conns_bin"), 1) << st0;
-  EXPECT_GE(num_field(st0, "conns_json"), 2) << st0;  // peer + this client
+  EXPECT_GE(num_field(st0, "conns_bin"), 2) << st0;
+  EXPECT_GE(num_field(st0, "conns_json"), 1) << st0;
 
   // Outpace both replicas (300 ms per record, history=2): each falls off
-  // the retained window and is re-seeded via its protocol's snapshot path.
+  // the retained window and is re-seeded by a snapshot.
   for (int e = 0; e < 6; ++e) {
     for (int i = 0; i < 4; ++i) {
       coord.rpc(R"({"op":"mutate","kind":"insert","src":)" +
@@ -730,30 +748,142 @@ TEST(Tier, ReplicaCrashMidStreamIsReapedAndSurvived) {
       << "status=" << status;
 }
 
-// --- Unit tests for the hardened wire/socket layers ---
-
-// A corrupt record header must be a clean parse error, not a huge reserve.
-TEST(Replication, RecordHeaderRejectsAbsurdCount) {
-  const std::string line =
-      R"({"op":"replicate","seq":1,"kind":"batch","epoch":1,)"
-      R"("count":1000000000000000000,"compact":false})";
-  ndg::dyn::WireMessage msg;
-  std::string err;
-  ASSERT_TRUE(ndg::dyn::parse_wire(line, msg, &err)) << err;
-  ndg::dyn::RepRecord rec;
-  std::uint64_t count = 0;
-  EXPECT_FALSE(ndg::dyn::parse_record_header(msg, rec, count, &err));
-  EXPECT_NE(err.find("count"), std::string::npos) << err;
-
-  // Boundary: the bound itself still parses (reserve is capped separately).
-  const std::string ok_line =
-      R"({"op":"replicate","seq":1,"kind":"batch","epoch":1,"count":)" +
-      std::to_string(ndg::dyn::kMaxRecordMuts) + R"(,"compact":false})";
-  ndg::dyn::WireMessage ok_msg;
-  ASSERT_TRUE(ndg::dyn::parse_wire(ok_line, ok_msg, &err)) << err;
-  EXPECT_TRUE(ndg::dyn::parse_record_header(ok_msg, rec, count, &err)) << err;
-  EXPECT_EQ(count, ndg::dyn::kMaxRecordMuts);
+/// Reads the first bin1 frame `fd` delivers into `f`; false on a timeout,
+/// EOF or a length past kMaxFrameLen.
+bool read_frame(int fd, ndg::dyn::Frame& f, int timeout_ms = 30000) {
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::string buf;
+  for (;;) {
+    const ndg::dyn::FrameParse rc = ndg::dyn::extract_frame(buf, f);
+    if (rc == ndg::dyn::FrameParse::kOk) return true;
+    if (rc == ndg::dyn::FrameParse::kBad) return false;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    const int prc = ::poll(&p, 1, static_cast<int>(left.count()));
+    if (prc < 0 && errno == EINTR) continue;
+    if (prc <= 0) return false;
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
 }
+
+// A replica that gives up on a malformed replication frame must exit with
+// status 1, so the coordinator's reap counts a crash, not a clean exit. The
+// test plays the coordinator: it binds rep.sock, takes the replica's kSync
+// frame (its first bytes on the socket) and ships a kRepRecord whose count
+// disagrees with its payload size.
+TEST(Tier, ReplicaExitsOneOnMalformedRecordFrame) {
+  Tier replica;
+  replica.start({"--role=replica", "--id=0", "--algo=wcc", "--kind=er",
+                 "--vertices=300", "--edges=900", "--seed=7",
+                 "--gate=theorem2", "--threads=2"});
+  const std::string rep_path = replica.dir + "/rep.sock";
+  const int listen_fd = ndg::tier::listen_unix(rep_path);
+  int fd = -1;
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  while (fd < 0 && Clock::now() < deadline) {
+    pollfd p{listen_fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) > 0) fd = ::accept(listen_fd, nullptr, nullptr);
+  }
+  ::close(listen_fd);
+  ::unlink(rep_path.c_str());
+  ASSERT_GE(fd, 0) << "replica never connected to rep.sock";
+
+  ndg::dyn::Frame f;
+  ASSERT_TRUE(read_frame(fd, f)) << "no kSync frame from the replica";
+  ASSERT_EQ(f.type, ndg::dyn::FrameType::kSync);
+  std::uint64_t id = 99;
+  std::uint64_t seq = 99;
+  ASSERT_TRUE(ndg::dyn::decode_sync_bin(f.payload, id, seq));
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(seq, 0u);
+
+  ndg::dyn::RepRecord rec;
+  rec.seq = 1;
+  rec.epoch = 1;
+  const ndg::dyn::AppliedMutation m{ndg::dyn::MutationKind::kInsertEdge, 1,
+                                    2, 900, 1.0f, 1.0f};
+  rec.muts = {m, m};
+  std::string payload = ndg::dyn::encode_record_bin(rec);
+  payload.resize(payload.size() - 25);  // count says 2, payload holds 1
+  std::string out;
+  ndg::dyn::append_frame(out, ndg::dyn::FrameType::kRepRecord, payload);
+  ASSERT_EQ(::write(fd, out.data(), out.size()),
+            static_cast<ssize_t>(out.size()));
+
+  const int status = replica.join(30000);
+  ::close(fd);
+  ASSERT_NE(status, -1) << "replica did not exit on a malformed record";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+      << "status=" << status;
+}
+
+// rep.sock speaks bin1 frames only. A peer that opens with the old JSON sync
+// line and one whose kSync frame is short are both dropped, the short frame
+// as a parse error, and neither counts as a replica; the two real replicas
+// still reach the coordinator's exact WCC answers.
+TEST(Tier, NonFramePeersOnRepSockAreDropped) {
+  Tier tier;
+  tier.start({"--replicas=2", "--algo=wcc", "--kind=er", "--vertices=300",
+              "--edges=900", "--seed=7", "--gate=theorem2", "--threads=2"});
+  Client coord;
+  coord.connect(tier.coord_sock());
+  EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
+  wait_for_replicas(coord, 2);
+  const std::string st0 = coord.rpc(R"({"op":"stats"})");
+
+  Client json_peer;
+  json_peer.connect(tier.dir + "/rep.sock");
+  json_peer.send_line(R"({"op":"sync","replica":9,"seq":0})");
+  Client short_peer;
+  short_peer.connect(tier.dir + "/rep.sock");
+  std::string bad;
+  ndg::dyn::append_frame(bad, ndg::dyn::FrameType::kSync,
+                         ndg::dyn::encode_sync_bin(9, 0).substr(0, 8));
+  short_peer.send_bytes(bad);
+  ASSERT_TRUE(json_peer.wait_closed()) << "JSON peer was not dropped";
+  ASSERT_TRUE(short_peer.wait_closed()) << "short-frame peer was not dropped";
+
+  const std::string st = coord.rpc(R"({"op":"stats"})");
+  EXPECT_EQ(field(st, "replicas"), "2") << st;
+  EXPECT_GE(num_field(st, "parse_errors"),
+            num_field(st0, "parse_errors") + 1)
+      << st;
+
+  for (int i = 0; i < 4; ++i) {
+    coord.rpc(R"({"op":"mutate","kind":"insert","src":)" +
+              std::to_string(290 + i) + R"(,"dst":)" +
+              std::to_string(37 * i % 300) + "}");
+  }
+  EXPECT_TRUE(contains(coord.rpc(R"({"op":"recompute"})"), "\"ok\":true"));
+  wait_watermark(coord);
+
+  Client rep0;
+  Client rep1;
+  rep0.connect(tier.replica_sock(0));
+  rep1.connect(tier.replica_sock(1));
+  EXPECT_TRUE(contains(rep0.read_line(), "\"role\":\"replica\""));
+  EXPECT_TRUE(contains(rep1.read_line(), "\"role\":\"replica\""));
+  for (int v = 0; v < 300; v += 7) {
+    const std::string qc = query(coord, v);
+    const std::string q0 = query(rep0, v);
+    const std::string q1 = query(rep1, v);
+    EXPECT_EQ(field(qc, "value"), field(q0, "value")) << qc << "\n" << q0;
+    EXPECT_EQ(field(qc, "value"), field(q1, "value")) << qc << "\n" << q1;
+  }
+
+  EXPECT_TRUE(contains(coord.rpc(R"({"op":"shutdown"})"), "\"bye\":true"));
+  const int status = tier.join();
+  ASSERT_NE(status, -1) << "tier did not exit after shutdown";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+// --- Unit tests for the hardened wire/socket layers ---
 
 // A peer that streams bytes with no newline forever must be dropped once
 // the unterminated line passes the bound instead of growing server memory.

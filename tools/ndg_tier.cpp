@@ -7,7 +7,8 @@
 // Sockets live in --dir:
 //
 //   coord.sock      writes (mutate/recompute) + coordinator-local reads
-//   rep.sock        internal replication stream (replicas connect here)
+//   rep.sock        internal replication stream: replicas connect here
+//                   and speak bin1 frames only (dyn/replication.hpp)
 //   replica-K.sock  read endpoint of replica K — clients fan reads out
 //                   across these directly, which is where the tier's read
 //                   scaling comes from (each replica is its own process
@@ -51,18 +52,7 @@ struct TierConfig {
   std::size_t replicas = 2;
   std::uint32_t chaos_hold_ms = 0;
   std::uint32_t chaos_stale_records = 0;
-  /// Replication transport per replica: "json" (default), "bin" (every
-  /// replica negotiates bin1), or "mixed" (even ids binary, odd ids JSON —
-  /// the interop configuration the tier tests converge exactly under).
-  std::string proto = "json";
 };
-
-/// Whether replica `id` should speak bin1 under --proto.
-bool replica_is_binary(const TierConfig& cfg, std::size_t id) {
-  if (cfg.proto == "bin") return true;
-  if (cfg.proto == "mixed") return id % 2 == 0;
-  return false;
-}
 
 template <typename Program>
 int run_replica(Graph base, Program prog, const TierConfig& cfg,
@@ -76,7 +66,6 @@ int run_replica(Graph base, Program prog, const TierConfig& cfg,
   ropts.dir = cfg.dir;
   ropts.chaos_hold_ms = cfg.chaos_hold_ms;
   ropts.chaos_stale_records = cfg.chaos_stale_records;
-  ropts.binary = replica_is_binary(cfg, id);
   tier::Replica<Program> rep(std::move(g), std::move(prog), std::move(gate),
                              cfg.common.engine_opts, cfg.common.engine,
                              std::move(gopts), ropts);
@@ -117,10 +106,6 @@ int tier_main(const CliArgs& args) {
       throw std::runtime_error(
           "bad --chaos (expected hold:<ms> or stale:<records>)");
     }
-  }
-  cfg.proto = args.get("proto", "json");
-  if (cfg.proto != "json" && cfg.proto != "bin" && cfg.proto != "mixed") {
-    throw std::runtime_error("unknown --proto (expected json|bin|mixed)");
   }
   if (cfg.dir.empty()) {
     throw std::runtime_error("--dir=PATH is required (socket directory)");
