@@ -1,6 +1,10 @@
 #pragma once
-// Wire codec for ndg_serve: one newline-delimited FLAT JSON object per
-// command/reply. Flat means every value is a scalar (string / number / bool /
+// Wire codecs of the serving tier (docs/DYNAMIC.md, docs/TIER.md): the
+// newline-JSON client protocol, the bin1 framing and the client op
+// payloads. tier/client_op.hpp turns both into one client op; rep.sock's
+// payloads live in dyn/replication.hpp.
+//
+// JSON: one newline-delimited FLAT JSON object per command/reply. Flat means every value is a scalar (string / number / bool /
 // null) — nested objects and arrays are rejected. That restriction is what
 // keeps the parser ~100 lines with no dependency, and the protocol
 // (docs/DYNAMIC.md) needs nothing more: a mutate is {"op":"mutate",
@@ -284,14 +288,6 @@ struct WireCounters {
   std::uint64_t parse_errors = 0;
   std::uint64_t conns_json = 0;  // currently open, still newline-JSON
   std::uint64_t conns_bin = 0;   // currently open, upgraded to bin1
-
-  void add(const WireCounters& o) {
-    bytes_in += o.bytes_in;
-    bytes_out += o.bytes_out;
-    parse_errors += o.parse_errors;
-    conns_json += o.conns_json;
-    conns_bin += o.conns_bin;
-  }
 };
 
 }  // namespace ndg::dyn

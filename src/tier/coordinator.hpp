@@ -4,10 +4,11 @@
 // One front-end, two launchers. ndg_tier binds <dir>/coord.sock for clients
 // and <dir>/rep.sock for its forked replicas; ndg_serve binds --socket=PATH
 // with no replication socket, or speaks to one client over stdin/stdout.
-// Every transport goes through the same two client op dispatches
-// (dispatch_lines for newline JSON, dispatch_frames for bin1) and the same
-// epoch code (run_epoch, finish_epoch). Replication peers on rep.sock speak
-// bin1 frames only (dyn/replication.hpp), from their first byte.
+// Every client line or frame decodes to one ClientOp (tier/client_op.hpp),
+// handled in one op switch (serve) whatever the transport, and every epoch
+// runs through the same two functions (run_epoch, finish_epoch).
+// Replication peers on rep.sock speak bin1 frames only
+// (dyn/replication.hpp), from their first byte.
 //
 // The coordinator is the ONLY process that owns a MutationLog: every write
 // enters here, is sealed into an epoch batch on `recompute`, applied to the
@@ -44,7 +45,7 @@
 // flight the loop touches g_, inc_ and prog_ only through live_value in the
 // kRunning phase: `recompute`, `stats` and plain queries wait for the epoch
 // to land, and so does a peer that needs a snapshot or a compaction fence;
-// mutate, mbatch, hello, quit and parse errors are answered at once. A plain
+// mutate, mbatch, hello, quit and decode errors are answered at once. A plain
 // query is answered only when no epoch is in flight, so it reads the
 // program's own state (prog_.value) with no per-epoch copy. replog_ and
 // snap_cache_ are written on the loop thread only. Stdio has no worker: each
@@ -63,12 +64,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,6 +84,7 @@
 #include "dyn/mutation_log.hpp"
 #include "dyn/replication.hpp"
 #include "dyn/wire.hpp"
+#include "tier/client_op.hpp"
 #include "tier/net.hpp"
 
 namespace ndg::tier {
@@ -106,21 +106,6 @@ struct CoordinatorOptions {
   bool live_queries = false;        // answer queries mid-run (labeled racy)
   std::uint32_t epoch_hold_ms = 0;  // test aid: stretch the engine-run phase
 };
-
-inline std::string tier_error(const std::string& what) {
-  return dyn::WireWriter().boolean("ok", false).str("error", what).finish();
-}
-
-/// JSON has no literal for the IEEE specials; label them distinctly.
-inline void tier_value_field(dyn::WireWriter& w, double value) {
-  if (std::isnan(value)) {
-    w.str("value", "nan");
-  } else if (std::isinf(value)) {
-    w.str("value", value > 0 ? "inf" : "-inf");
-  } else {
-    w.num("value", value);
-  }
-}
 
 /// Compact wire token for the verdict (core's to_string is a prose line).
 inline const char* verdict_token(EligibilityVerdict v) {
@@ -303,7 +288,7 @@ class Coordinator {
 
   /// Stdio transport: one implicit JSON client, read with getline on this
   /// thread (stdin and stdout keep their blocking mode) and answered through
-  /// the same dispatch; recompute runs inline.
+  /// the same op switch; recompute runs inline.
   int run_stdio() {
     const std::uint64_t id = ++next_id_;
     Client& c = clients_[id];
@@ -407,26 +392,14 @@ class Coordinator {
     if (auto it = clients_.find(inflight_client_); it != clients_.end()) {
       Client& c = it->second;
       c.awaiting_epoch = false;
-      const dyn::RecomputeReplyBin b = recompute_bin(r);
-      if (c.conn.proto == dyn::WireProto::kBin) {
-        c.conn.queue_frame(dyn::FrameType::kRecomputeReply,
-                           dyn::encode_recompute_reply(b));
-      } else {
-        c.conn.queue_line(recompute_json(b));
-      }
+      reply_recompute(c.conn, recompute_bin(r));
     }
   }
 
-  // --- Client op dispatch (every transport) ---
+  // --- Client ops (every transport) ---
 
   void accept_into(int listen_fd, bool peer) {
-    for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient error: try again on the next POLLIN
-      }
-      set_nonblocking(fd);
+    for (int fd; (fd = accept_nonblocking(listen_fd)) >= 0;) {
       const std::uint64_t id = ++next_id_;
       if (peer) {
         // rep.sock speaks bin1 frames from byte 0 in both directions.
@@ -456,176 +429,76 @@ class Coordinator {
         .finish();
   }
 
-  /// Runs the client's queued commands strictly in order, stopping at the
-  /// first that must wait for the in-flight epoch, so each client sees one
-  /// reply per command in send order. A hello upgrade switches the same
-  /// pass from lines to frames; replies are flushed once at the end.
+  /// Runs the client's queued ops strictly in order, stopping at the first
+  /// that must wait for the in-flight epoch, so each client sees one reply
+  /// per op in send order. A hello upgrade switches the same pass from lines
+  /// to frames; replies are flushed once at the end.
   void dispatch(std::uint64_t id, Client& c) {
-    if (c.conn.proto == dyn::WireProto::kJson) dispatch_lines(id, c);
-    if (c.conn.proto == dyn::WireProto::kBin) dispatch_frames(id, c);
+    ClientOp op;
+    while (!c.awaiting_epoch && !c.conn.draining && !c.conn.broken &&
+           decode_op(c.conn, kAllOps, op) && serve(id, c, op)) {
+    }
     c.conn.flush();
   }
 
-  void dispatch_lines(std::uint64_t id, Client& c) {
+  /// The op switch. False when `op` waits for the in-flight epoch: it stays
+  /// queued and is decoded again once the epoch lands.
+  bool serve(std::uint64_t id, Client& c, const ClientOp& op) {
     LineConn& conn = c.conn;
-    while (!c.awaiting_epoch && !conn.draining && !conn.broken &&
-           !conn.pending.empty()) {
-      const std::string& line = conn.pending.front();
-      if (line.find_first_not_of(" \t\r") == std::string::npos) {
-        conn.pending.pop_front();
-        continue;
+    switch (op.kind) {
+      case OpKind::kHello:
+        if (client_listen_ < 0) {
+          reply_error(conn, "hello: bin1 needs a socket");
+          break;
+        }
+        accept_hello(conn);
+        return true;
+      case OpKind::kMutate:
+        log_.append(op.mutation);
+        reply_ack(conn, op, log_.pending());
+        break;
+      case OpKind::kMBatch:
+        log_.append(op.batch);
+        reply_ack(conn, op, log_.pending());
+        break;
+      case OpKind::kQuery: {
+        if (op.vertex >= num_vertices_) {
+          reply_error(conn, "query: vertex out of range: " +
+                                std::to_string(op.vertex));
+          break;
+        }
+        const auto qr = answer_query(op.vertex);
+        if (!qr) return false;  // barrier: answered when the epoch lands
+        reply_query(conn, *qr);
+        break;
       }
-      dyn::WireMessage msg;
-      std::string err;
-      std::string op;
-      if (!parse_wire(line, msg, &err)) {
-        ++parse_errors_;
-        conn.queue_line(tier_error("parse: " + err));
-      } else if (!msg.get_string("op", op)) {
-        conn.queue_line(tier_error("missing field: op"));
-      } else if (op == "hello") {
-        std::string proto;
-        if (!msg.get_string("proto", proto)) {
-          conn.queue_line(tier_error("hello: missing field: proto"));
-        } else if (proto != dyn::kBinProtoName) {
-          conn.queue_line(tier_error("hello: unknown proto: " + proto));
-        } else if (client_listen_ < 0) {
-          conn.queue_line(tier_error("hello: bin1 needs a socket"));
-        } else {
-          conn.queue_line(dyn::WireWriter()
-                              .boolean("ok", true)
-                              .str("proto", dyn::kBinProtoName)
-                              .finish());
-          conn.pending.pop_front();
-          // Replays any frame bytes the client pipelined behind the hello;
-          // dispatch() falls through to the frames for them.
-          conn.upgrade_to_bin();
-          return;
-        }
-      } else if (op == "mutate") {
-        conn.queue_line(handle_mutate(msg));
-      } else if (op == "query") {
-        std::uint64_t v = 0;
-        if (!msg.get_u64("vertex", v)) {
-          conn.queue_line(tier_error("query: missing field: vertex"));
-        } else if (v >= num_vertices_) {
-          conn.queue_line(
-              tier_error("query: vertex out of range: " + std::to_string(v)));
-        } else if (const auto qr = answer_query(v)) {
-          conn.queue_line(query_json(*qr));
-        } else {
-          return;  // barrier: answered when the epoch lands
-        }
-      } else if (op == "recompute") {
-        if (inflight_) return;  // one epoch at a time; wait our turn
-        conn.pending.pop_front();
+      case OpKind::kRecompute:
+        if (inflight_) return false;  // one epoch at a time; wait our turn
         start_epoch(id, c);
-        continue;
-      } else if (op == "stats") {
-        if (inflight_) return;  // counters quiesce with the epoch
-        conn.queue_line(stats_reply());
-      } else if (op == "quit" ||
-                 (op == "shutdown" && opts_.stop == StopOp::kShutdown)) {
-        conn.queue_line(dyn::WireWriter()
-                            .boolean("ok", true)
-                            .boolean("bye", true)
-                            .finish());
+        break;
+      case OpKind::kStats:
+        if (inflight_) return false;  // counters quiesce with the epoch
+        reply_json(conn, stats_reply());
+        break;
+      case OpKind::kQuit:
+      case OpKind::kShutdown:
+        if (op.kind == OpKind::kShutdown && opts_.stop != StopOp::kShutdown) {
+          reply_error(conn, kShutdownRefused);
+          break;
+        }
+        reply_bye(conn);
         conn.draining = true;
-        if (op == "shutdown" || opts_.stop == StopOp::kQuit) stop_server(id);
-      } else if (op == "shutdown") {
-        conn.queue_line(tier_error(kShutdownRefused));
-      } else {
-        conn.queue_line(tier_error("unknown op: " + op));
-      }
-      conn.pending.pop_front();
+        if (op.kind == OpKind::kShutdown || opts_.stop == StopOp::kQuit) {
+          stop_server(id);
+        }
+        break;
+      case OpKind::kError:
+        if (op.malformed) ++parse_errors_;
+        reply_error(conn, op.error);
+        break;
     }
-  }
-
-  void frame_error(LineConn& c, std::string_view what) {
-    ++parse_errors_;
-    c.queue_frame(dyn::FrameType::kError, what);
-  }
-
-  /// Frame dispatch mirrors dispatch_lines op for op: same epoch barrier,
-  /// same in-order replies. A barrier wait returns WITHOUT popping the
-  /// frame; handled frames fall out of the switch and are popped below.
-  void dispatch_frames(std::uint64_t id, Client& c) {
-    LineConn& conn = c.conn;
-    while (!c.awaiting_epoch && !conn.draining && !conn.broken &&
-           !conn.frames.empty()) {
-      const dyn::Frame& f = conn.frames.front();
-      std::string err;
-      switch (f.type) {
-        case dyn::FrameType::kMutate: {
-          dyn::Mutation m;
-          if (!dyn::decode_mutate(f.payload, m, &err)) {
-            frame_error(conn, err);
-            break;
-          }
-          log_.append(m);
-          conn.queue_frame(dyn::FrameType::kMutateAck,
-                           dyn::encode_mutate_ack(log_.pending()));
-          break;
-        }
-        case dyn::FrameType::kMBatch: {
-          std::vector<dyn::Mutation> ms;
-          if (!dyn::decode_mbatch(f.payload, ms, &err)) {
-            frame_error(conn, err);
-            break;
-          }
-          log_.append(ms);
-          conn.queue_frame(
-              dyn::FrameType::kMBatchAck,
-              dyn::encode_mbatch_ack(static_cast<std::uint32_t>(ms.size()),
-                                     log_.pending()));
-          break;
-        }
-        case dyn::FrameType::kQuery: {
-          std::uint64_t v = 0;
-          if (!dyn::decode_query(f.payload, v, &err)) {
-            frame_error(conn, err);
-            break;
-          }
-          if (v >= num_vertices_) {
-            frame_error(conn,
-                        "query: vertex out of range: " + std::to_string(v));
-            break;
-          }
-          const auto qr = answer_query(v);
-          if (!qr) return;  // barrier: answered when the epoch lands
-          conn.queue_frame(dyn::FrameType::kQueryReply,
-                           dyn::encode_query_reply(*qr));
-          break;
-        }
-        case dyn::FrameType::kRecompute:
-          if (inflight_) return;  // one epoch at a time; wait our turn
-          start_epoch(id, c);
-          break;
-        case dyn::FrameType::kStats:
-          if (inflight_) return;  // counters quiesce with the epoch
-          conn.queue_frame(dyn::FrameType::kJson, stats_reply());
-          break;
-        case dyn::FrameType::kQuit:
-        case dyn::FrameType::kShutdown:
-          if (f.type == dyn::FrameType::kShutdown &&
-              opts_.stop != StopOp::kShutdown) {
-            conn.queue_frame(dyn::FrameType::kError, kShutdownRefused);
-            break;
-          }
-          conn.queue_frame(dyn::FrameType::kBye, {});
-          conn.draining = true;
-          if (f.type == dyn::FrameType::kShutdown ||
-              opts_.stop == StopOp::kQuit) {
-            stop_server(id);
-          }
-          break;
-        default:
-          frame_error(conn, "unexpected frame type: " +
-                                std::to_string(static_cast<unsigned>(f.type)));
-          break;
-      }
-      conn.frames.pop_front();
-    }
+    pop_op(conn);
+    return true;
   }
 
   static constexpr const char* kShutdownRefused =
@@ -648,43 +521,6 @@ class Coordinator {
   [[nodiscard]] bool exit_ready() const {
     return shutdown_ && !inflight_ && peers_.empty() &&
            !clients_.contains(shutdown_client_);
-  }
-
-  std::string handle_mutate(const dyn::WireMessage& msg) {
-    std::string kind_s;
-    std::uint64_t src = 0;
-    std::uint64_t dst = 0;
-    if (!msg.get_string("kind", kind_s)) {
-      return tier_error("mutate: missing field: kind");
-    }
-    dyn::MutationKind kind;
-    if (kind_s == "insert") {
-      kind = dyn::MutationKind::kInsertEdge;
-    } else if (kind_s == "delete") {
-      kind = dyn::MutationKind::kDeleteEdge;
-    } else if (kind_s == "weight") {
-      kind = dyn::MutationKind::kWeightChange;
-    } else {
-      return tier_error("mutate: unknown kind: " + kind_s);
-    }
-    if (!msg.get_u64("src", src) || !msg.get_u64("dst", dst)) {
-      return tier_error("mutate: missing field: src/dst");
-    }
-    // Truncating an id past VertexId's range would apply a different edge.
-    constexpr std::uint64_t kMaxId = std::numeric_limits<VertexId>::max();
-    if (src > kMaxId || dst > kMaxId) {
-      return tier_error("mutate: vertex id does not fit 32 bits: " +
-                        std::to_string(src > kMaxId ? src : dst));
-    }
-    double weight = 1.0;
-    msg.get_double("weight", weight);
-    log_.append(dyn::Mutation{kind, static_cast<VertexId>(src),
-                              static_cast<VertexId>(dst),
-                              static_cast<float>(weight)});
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .u64("pending", log_.pending())
-        .finish();
   }
 
   /// A query's answer now, or nullopt while it must wait for the in-flight
@@ -713,14 +549,6 @@ class Coordinator {
     return std::nullopt;
   }
 
-  [[nodiscard]] static std::string query_json(const dyn::QueryReplyBin& qr) {
-    dyn::WireWriter w;
-    w.boolean("ok", true).u64("vertex", qr.vertex);
-    tier_value_field(w, qr.value);
-    if (qr.has_quiescent) w.boolean("quiescent", qr.quiescent);
-    return w.u64("epoch", qr.epoch).finish();
-  }
-
   [[nodiscard]] dyn::RecomputeReplyBin recompute_bin(
       const dyn::EpochResult& r) const {
     dyn::RecomputeReplyBin b;
@@ -736,24 +564,6 @@ class Coordinator {
     b.live_edges = g_.num_live_edges();
     b.reason = r.gate_reason;
     return b;
-  }
-
-  [[nodiscard]] static std::string recompute_json(
-      const dyn::RecomputeReplyBin& b) {
-    return dyn::WireWriter()
-        .boolean("ok", true)
-        .u64("epoch", b.epoch)
-        .boolean("warm", b.warm)
-        .str("reason", b.reason)
-        .u64("applied", b.applied)
-        .u64("rejected", b.rejected)
-        .u64("seeds", b.seeds)
-        .u64("iterations", b.iterations)
-        .u64("updates", b.updates)
-        .boolean("converged", b.converged)
-        .boolean("compacted", b.compacted)
-        .u64("live_edges", b.live_edges)
-        .finish();
   }
 
   /// Transport counters across clients AND replication peers; closed
@@ -775,7 +585,7 @@ class Coordinator {
     return w;
   }
 
-  /// Quiescent only (the dispatch holds `stats` behind the epoch).
+  /// Quiescent only (serve holds `stats` behind the epoch).
   std::string stats_reply() const {
     std::size_t synced = 0;
     for (const auto& [id, p] : peers_) {
@@ -822,8 +632,8 @@ class Coordinator {
   // --- Replication peer path ---
 
   /// A peer that does not speak frames breaks at its first bytes (a JSON
-  /// line's length field exceeds kMaxFrameLen); a frame with a malformed
-  /// payload counts as a parse error. Either way reap() drops the peer.
+  /// line's length field exceeds kMaxFrameLen), and one whose frame does not
+  /// decode breaks here; reap() logs, counts and drops either.
   void drain_peer(RepPeer& p) {
     while (!p.conn.broken && !p.conn.frames.empty()) {
       const dyn::Frame f = std::move(p.conn.frames.front());
@@ -832,10 +642,7 @@ class Coordinator {
       if (f.type == dyn::FrameType::kSync) {
         std::uint64_t seq = 0;
         if (!dyn::decode_sync_bin(f.payload, p.replica_id, seq, &err)) {
-          std::cerr << "ndg_tier: bad sync frame: " << err << "\n";
-          ++parse_errors_;
-          p.conn.broken = true;
-          return;
+          return p.conn.fail_input("bad sync frame: " + err);
         }
         p.synced = true;
         p.next_seq = seq + 1;
@@ -843,16 +650,13 @@ class Coordinator {
         std::uint64_t replica = 0;
         if (!dyn::decode_ack_bin(f.payload, replica, p.acked_seq,
                                  p.acked_epoch, &err)) {
-          std::cerr << "ndg_tier: bad ack frame: " << err << "\n";
-          ++parse_errors_;
-          p.conn.broken = true;
-          return;
+          return p.conn.fail_input("bad ack frame: " + err);
         }
         p.awaiting_ack = false;
       } else {
-        std::cerr << "ndg_tier: unexpected replication frame\n";
-        p.conn.broken = true;
-        return;
+        return p.conn.fail_input(
+            "unexpected replication frame type: " +
+            std::to_string(static_cast<unsigned>(f.type)));
       }
     }
     if (p.snap != nullptr) stream_snapshot(p);
@@ -965,14 +769,20 @@ class Coordinator {
   }
 
   void reap() {
-    const auto retire = [this](const LineConn& c) {
+    // A connection dropped for its input counts as a parse error.
+    const auto retire = [this](const LineConn& c, const char* who) {
       closed_wire_.bytes_in += c.bytes_in;
       closed_wire_.bytes_out += c.bytes_out;
+      if (!c.input_error.empty()) {
+        ++parse_errors_;
+        std::cerr << "coordinator: dropped " << who << ": " << c.input_error
+                  << "\n";
+      }
     };
     for (auto it = clients_.begin(); it != clients_.end();) {
       const Client& c = it->second;
       if (c.conn.finished() && !c.awaiting_epoch) {
-        retire(c.conn);
+        retire(c.conn, "client");
         it->second.conn.close_fd();
         it = clients_.erase(it);
       } else {
@@ -990,7 +800,7 @@ class Coordinator {
                     << it->second.replica_id << " died (last acked seq "
                     << it->second.acked_seq << ")\n";
         }
-        retire(it->second.conn);
+        retire(it->second.conn, "replication peer");
         it->second.conn.close_fd();
         it = peers_.erase(it);
       } else {
@@ -1045,7 +855,7 @@ class Coordinator {
   std::uint64_t children_reaped_ = 0;   // waitpid'd replica children
   std::uint64_t children_crashed_ = 0;  // ...of those, abnormal exits
   dyn::WireCounters closed_wire_;   // byte totals of reaped connections
-  std::uint64_t parse_errors_ = 0;  // bad lines + bad frame payloads
+  std::uint64_t parse_errors_ = 0;  // malformed ops + input-broken drops
   bool shutdown_ = false;
   std::uint64_t shutdown_client_ = 0;
 

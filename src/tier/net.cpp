@@ -78,6 +78,14 @@ int connect_unix(const std::string& path, int timeout_ms) {
   }
 }
 
+int accept_nonblocking(int listen_fd) {
+  int fd;
+  while ((fd = ::accept(listen_fd, nullptr, nullptr)) < 0 && errno == EINTR) {
+  }
+  if (fd >= 0) set_nonblocking(fd);
+  return fd;
+}
+
 void LineConn::read_input() {
   char chunk[4096];
   while (in_buf.size() < kMaxReadBytes) {
@@ -106,20 +114,24 @@ void LineConn::read_input() {
   }
   // What remains is one unterminated line; past the bound it can never be
   // completed within memory limits, so drop the connection.
-  if (in_buf.size() > kMaxLineBytes) broken = true;
+  if (in_buf.size() > kMaxLineBytes) {
+    fail_input("unterminated line exceeds " + std::to_string(kMaxLineBytes) +
+               " bytes");
+  }
 }
 
 void LineConn::parse_frames() {
   dyn::Frame f;
+  std::string err;
   for (;;) {
-    const dyn::FrameParse rc = dyn::extract_frame(in_buf, f);
+    const dyn::FrameParse rc = dyn::extract_frame(in_buf, f, &err);
     if (rc == dyn::FrameParse::kOk) {
       frames.push_back(std::move(f));
       continue;
     }
     // kBad is unrecoverable: there is no resync point in a framed stream
     // after a corrupt length, so the connection is dropped.
-    if (rc == dyn::FrameParse::kBad) broken = true;
+    if (rc == dyn::FrameParse::kBad) fail_input(std::move(err));
     return;
   }
 }

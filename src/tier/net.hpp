@@ -2,13 +2,12 @@
 // Socket plumbing shared by the serving stack (docs/TIER.md, docs/DYNAMIC.md):
 // the coordinator (the one serving front-end, whichever of ndg_serve or
 // ndg_tier launched it), the replicas, bench_tier, bench_serve and the
-// tests all speak the same wire protocols
-// (dyn/wire.hpp — newline-JSON by default on client sockets, bin1 frames
-// after a hello upgrade; bin1 frames only on rep.sock) over unix stream
-// sockets, and they all multiplex with the same nonblocking buffered
-// connection state. This header is that shared layer —
-// nothing in it knows about graphs or replication, only fds, lines, frames,
-// and the tier's well-known socket names inside a run directory:
+// tests multiplex unix stream sockets with the same nonblocking buffered
+// connection state. This header is that shared layer: it splits bytes into
+// newline-JSON lines or bin1 frames (dyn/wire.hpp) and knows nothing of what
+// they say. tier/client_op.hpp decodes a client's lines and frames into ops;
+// dyn/replication.hpp encodes what rep.sock carries. The tier's well-known
+// socket names inside a run directory:
 //
 //   <dir>/coord.sock      writes + coordinator-local reads (ndg_tier; ndg_serve
 //                         binds the same coordinator at --socket=PATH)
@@ -18,6 +17,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "dyn/wire.hpp"
 
@@ -35,12 +35,16 @@ int listen_unix(const std::string& path, int backlog = 16);
 /// once the deadline passes.
 int connect_unix(const std::string& path, int timeout_ms = 10000);
 
+/// Accepts one waiting connection on a listen fd as a nonblocking fd; -1
+/// when none is waiting (or on a transient error: retry on the next POLLIN).
+int accept_nonblocking(int listen_fd);
+
 /// One nonblocking buffered peer: bytes in -> complete messages out, replies
 /// queued into `out_buf` and flushed as the socket accepts them. The flag
 /// trio is the coordinator's client lifecycle: eof = peer closed its write
 /// side (an unterminated tail still counts as a final line), draining =
 /// close once out_buf empties, broken = write/protocol error, drop without
-/// ceremony.
+/// ceremony. `input_error` says why, when the peer's input broke it.
 ///
 /// A client connection starts in newline-JSON (`proto == kJson`, messages
 /// land in `pending`) and may switch to bin1 framing (`upgrade_to_bin()`,
@@ -70,11 +74,19 @@ struct LineConn {
   bool eof = false;
   bool draining = false;
   bool broken = false;
+  std::string input_error;  // why input broke the connection, if it did
 
   /// Drains the socket (up to kMaxReadBytes per pass) and splits complete
   /// messages into `pending` (lines) or `frames`; an unterminated line past
-  /// kMaxLineBytes or a frame length past kMaxFrameLen sets `broken`.
+  /// kMaxLineBytes or a frame length past kMaxFrameLen calls fail_input.
   void read_input();
+
+  /// Input the connection cannot recover from: marks it broken and records
+  /// why, so its owner can log and count the drop.
+  void fail_input(std::string why) {
+    broken = true;
+    input_error = std::move(why);
+  }
 
   /// Writes as much of out_buf as the socket takes; EAGAIN leaves the rest
   /// for the next POLLOUT, a hard error sets `broken`.

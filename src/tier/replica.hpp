@@ -12,17 +12,23 @@
 // snapshots by rebuilding the graph from the shipped canonical edge list and
 // cold-recomputing. Each applied record is acked with the seq + epoch it
 // brought the replica to; the ack is what releases the coordinator's
-// window-of-1 for the next record. A frame it cannot decode is fatal: the
-// replica exits with status 1.
+// window-of-1 for the next record. A frame it cannot decode, or a stream
+// that breaks on its input (a frame length past kMaxFrameLen), is fatal: the
+// replica exits with status 1. A coordinator that closes the stream, or a
+// write that fails on it, ends the replica with status 0.
 //
 // Concurrently, the replica serves reads on its own socket
-// (<dir>/replica-K.sock). Replies carry the replica's epoch WATERMARK — the
-// epoch of the last record it applied — so a client can tell how stale the
-// answer is relative to the coordinator. Serving stale values is exactly the
-// license the paper's Theorem 2 grants for monotone programs: a lagging
-// replica's state is a valid intermediate state of the computation, and
-// replaying the missing records from it converges to the same fixed point a
-// fresh cold run would reach (docs/TIER.md spells out the argument).
+// (<dir>/replica-K.sock): `query`, `stats`, `quit` and the bin1 `hello`
+// upgrade, decoded from either transport into one ClientOp
+// (tier/client_op.hpp) and handled in one op switch (drain_client); any
+// other op is answered as unknown. Replies carry the replica's epoch
+// WATERMARK — the epoch of the last record it applied — so a client can
+// tell how stale the answer is relative to the coordinator. Serving stale
+// values is exactly the license the paper's Theorem 2 grants for monotone
+// programs: a lagging replica's state is a valid intermediate state of the
+// computation, and replaying the missing records from it converges to the
+// same fixed point a fresh cold run would reach (docs/TIER.md spells out the
+// argument).
 //
 // Chaos injection comes in two flavours (--chaos=hold:<ms>|stale:<records>,
 // docs/TIER.md, docs/DELAY.md):
@@ -59,7 +65,7 @@
 #include "dyn/replication.hpp"
 #include "dyn/wire.hpp"
 #include "graph/graph.hpp"
-#include "tier/coordinator.hpp"  // tier_error / tier_value_field
+#include "tier/client_op.hpp"
 #include "tier/net.hpp"
 
 namespace ndg::tier {
@@ -112,7 +118,8 @@ class Replica {
   Replica& operator=(const Replica&) = delete;
 
   /// 0 after a sanctioned stop or the coordinator going away; 1 after a
-  /// malformed replication frame (die), so the launcher sees a crash.
+  /// malformed replication frame or stream (die), so the launcher sees a
+  /// crash.
   int run() {
     std::vector<pollfd> pfds;
     std::vector<std::uint64_t> owner;  // 0 = listener/replication stream
@@ -153,6 +160,8 @@ class Replica {
           drain_replication();
           // Coordinator gone: eof after the stream drained, or a failed ack
           // (it can close mid-replay if shutdown races an in-flight record).
+          // A stream whose input broke is a failure, not a goodbye.
+          if (!rep_.input_error.empty()) die(rep_.input_error);
           if (rep_.broken || (rep_.eof && rep_.frames.empty())) {
             stop_ = true;
           }
@@ -345,13 +354,7 @@ class Replica {
   // --- Read serving ---
 
   void accept_clients() {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      set_nonblocking(fd);
+    for (int fd; (fd = accept_nonblocking(listen_fd_)) >= 0;) {
       LineConn& c = clients_[++next_client_id_];
       c.fd = fd;
       c.queue_line(dyn::WireWriter()
@@ -364,71 +367,45 @@ class Replica {
     }
   }
 
+  /// The op switch. Reads never wait: replay runs on this same loop. Query
+  /// replies carry the replica's epoch WATERMARK on both transports (the
+  /// replica id travels only on the JSON shape — a binary client knows which
+  /// socket it dialed).
   void drain_client(LineConn& c) {
-    if (c.proto == dyn::WireProto::kJson) drain_client_lines(c);
-    if (c.proto == dyn::WireProto::kBin) drain_client_frames(c);
-    c.flush();
-  }
-
-  void drain_client_lines(LineConn& c) {
-    while (!c.draining && !c.broken && !c.pending.empty() &&
-           c.proto == dyn::WireProto::kJson) {
-      const std::string line = std::move(c.pending.front());
-      c.pending.pop_front();
-      if (line.empty() ||
-          line.find_first_not_of(" \t\r") == std::string::npos) {
-        continue;
-      }
-      dyn::WireMessage msg;
-      std::string err;
-      std::string op;
-      if (!parse_wire(line, msg, &err)) {
-        c.queue_line(tier_error("parse: " + err));
-        continue;
-      }
-      if (!msg.get_string("op", op)) {
-        c.queue_line(tier_error("missing field: op"));
-        continue;
-      }
-      if (op == "hello") {
-        std::string proto;
-        if (!msg.get_string("proto", proto) || proto != dyn::kBinProtoName) {
-          c.queue_line(tier_error("hello: unknown proto"));
+    constexpr OpSet kServed = op_bit(OpKind::kHello) | op_bit(OpKind::kQuery) |
+                              op_bit(OpKind::kStats) | op_bit(OpKind::kQuit);
+    ClientOp op;
+    while (!c.draining && !c.broken && decode_op(c, kServed, op)) {
+      switch (op.kind) {
+        case OpKind::kHello:
+          accept_hello(c);
           continue;
-        }
-        c.queue_line(dyn::WireWriter()
-                         .boolean("ok", true)
-                         .str("proto", dyn::kBinProtoName)
-                         .finish());
-        c.upgrade_to_bin();  // drain_client falls through to the frame pump
-        return;
+        case OpKind::kQuery:
+          if (op.vertex >= g_.num_vertices()) {
+            reply_error(c, "query: vertex out of range: " +
+                               std::to_string(op.vertex));
+          } else {
+            dyn::QueryReplyBin qr;
+            qr.vertex = op.vertex;
+            qr.value = serve_value(static_cast<VertexId>(op.vertex));
+            qr.epoch = serve_epoch();
+            reply_query(c, qr, opts_.id);
+          }
+          break;
+        case OpKind::kStats:
+          reply_json(c, stats_line());
+          break;
+        case OpKind::kQuit:
+          reply_bye(c);
+          c.draining = true;
+          break;
+        default:
+          reply_error(c, op.error);
+          break;
       }
-      if (op == "query") {
-        std::uint64_t v = 0;
-        if (!msg.get_u64("vertex", v)) {
-          c.queue_line(tier_error("query: missing field: vertex"));
-        } else if (v >= g_.num_vertices()) {
-          c.queue_line(
-              tier_error("query: vertex out of range: " + std::to_string(v)));
-        } else {
-          dyn::WireWriter w;
-          w.boolean("ok", true).u64("vertex", v);
-          tier_value_field(w, serve_value(static_cast<VertexId>(v)));
-          c.queue_line(
-              w.u64("epoch", serve_epoch()).u64("replica", opts_.id).finish());
-        }
-      } else if (op == "stats") {
-        c.queue_line(stats_line());
-      } else if (op == "quit") {
-        c.queue_line(dyn::WireWriter()
-                         .boolean("ok", true)
-                         .boolean("bye", true)
-                         .finish());
-        c.draining = true;
-      } else {
-        c.queue_line(tier_error("unknown op: " + op));
-      }
+      pop_op(c);
     }
+    c.flush();
   }
 
   [[nodiscard]] std::string stats_line() const {
@@ -449,51 +426,6 @@ class Replica {
         .u64("serving_epoch", serve_epoch())
         .u64("serving_lag", serve_lag())
         .finish();
-  }
-
-  /// Binary read serving: query replies carry the replica's epoch WATERMARK
-  /// like the JSON path (the replica id travels only on the JSON shape —
-  /// a binary client knows which socket it dialed).
-  void drain_client_frames(LineConn& c) {
-    while (!c.draining && !c.broken && !c.frames.empty()) {
-      const dyn::Frame f = std::move(c.frames.front());
-      c.frames.pop_front();
-      std::string err;
-      switch (f.type) {
-        case dyn::FrameType::kQuery: {
-          std::uint64_t v = 0;
-          if (!dyn::decode_query(f.payload, v, &err)) {
-            c.queue_frame(dyn::FrameType::kError, err);
-            break;
-          }
-          if (v >= g_.num_vertices()) {
-            c.queue_frame(
-                dyn::FrameType::kError,
-                "query: vertex out of range: " + std::to_string(v));
-            break;
-          }
-          dyn::QueryReplyBin qr;
-          qr.vertex = v;
-          qr.value = serve_value(static_cast<VertexId>(v));
-          qr.epoch = serve_epoch();
-          c.queue_frame(dyn::FrameType::kQueryReply,
-                        dyn::encode_query_reply(qr));
-          break;
-        }
-        case dyn::FrameType::kStats:
-          c.queue_frame(dyn::FrameType::kJson, stats_line());
-          break;
-        case dyn::FrameType::kQuit:
-          c.queue_frame(dyn::FrameType::kBye, {});
-          c.draining = true;
-          break;
-        default:
-          c.queue_frame(dyn::FrameType::kError,
-                        "unexpected frame type: " +
-                            std::to_string(static_cast<unsigned>(f.type)));
-          break;
-      }
-    }
   }
 
   void reap() {

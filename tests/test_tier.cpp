@@ -823,6 +823,80 @@ TEST(Tier, ReplicaExitsOneOnMalformedRecordFrame) {
       << "status=" << status;
 }
 
+/// Plays the coordinator for a lone replica launched in `dir`: binds
+/// rep.sock, accepts the replica and takes its kSync frame; -1 on failure.
+int accept_lone_replica(const std::string& dir) {
+  const std::string rep_path = dir + "/rep.sock";
+  const int listen_fd = ndg::tier::listen_unix(rep_path);
+  int fd = -1;
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  while (fd < 0 && Clock::now() < deadline) {
+    pollfd p{listen_fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) > 0) fd = ::accept(listen_fd, nullptr, nullptr);
+  }
+  ::close(listen_fd);
+  ::unlink(rep_path.c_str());
+  ndg::dyn::Frame f;
+  if (fd >= 0 && (!read_frame(fd, f) || f.type != ndg::dyn::FrameType::kSync)) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A replication stream that breaks on its input is a failure too: a frame
+// length past kMaxFrameLen leaves no way to resynchronize, so the replica
+// exits 1 like it does on a payload it cannot decode.
+TEST(Tier, ReplicaExitsOneOnOversizeFrameLength) {
+  Tier replica;
+  replica.start({"--role=replica", "--id=0", "--algo=wcc", "--kind=er",
+                 "--vertices=300", "--edges=900", "--seed=7",
+                 "--gate=theorem2", "--threads=2"});
+  const int fd = accept_lone_replica(replica.dir);
+  ASSERT_GE(fd, 0) << "replica never sent its kSync frame";
+  std::string header;
+  ndg::dyn::put_u32(header, ndg::dyn::kMaxFrameLen + 1);
+  ndg::dyn::put_u8(header,
+                   static_cast<std::uint8_t>(ndg::dyn::FrameType::kRepRecord));
+  ASSERT_EQ(::write(fd, header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+
+  const int status = replica.join(30000);
+  ::close(fd);
+  ASSERT_NE(status, -1) << "replica did not exit on an oversize frame";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+      << "status=" << status;
+}
+
+// A peer on rep.sock that opens with a JSON line breaks the frame parser at
+// its first bytes; the coordinator logs the drop and counts exactly one
+// parse error for it.
+TEST(Tier, JsonSyncPeerOnRepSockCountsOneParseError) {
+  Tier tier;
+  tier.start({"--replicas=1", "--algo=wcc", "--kind=chain", "--vertices=8",
+              "--threads=2"});
+  Client coord;
+  coord.connect(tier.coord_sock());
+  EXPECT_TRUE(contains(coord.read_line(), "\"ready\":true"));
+  wait_for_replicas(coord, 1);
+  const std::string st0 = coord.rpc(R"({"op":"stats"})");
+
+  Client json_peer;
+  json_peer.connect(tier.dir + "/rep.sock");
+  json_peer.send_line(R"({"op":"sync","replica":9,"seq":0})");
+  ASSERT_TRUE(json_peer.wait_closed()) << "JSON peer was not dropped";
+
+  const std::string st = coord.rpc(R"({"op":"stats"})");
+  EXPECT_EQ(num_field(st, "parse_errors"),
+            num_field(st0, "parse_errors") + 1)
+      << st;
+  EXPECT_EQ(field(st, "replicas"), "1") << st;
+  EXPECT_TRUE(contains(coord.rpc(R"({"op":"shutdown"})"), "\"bye\":true"));
+  const int status = tier.join();
+  ASSERT_NE(status, -1) << "tier did not exit after shutdown";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
 // rep.sock speaks bin1 frames only. A peer that opens with the old JSON sync
 // line and one whose kSync frame is short are both dropped, the short frame
 // as a parse error, and neither counts as a replica; the two real replicas
@@ -910,6 +984,29 @@ TEST(TierNet, LineConnBreaksOnOversizeUnterminatedLine) {
   }
   EXPECT_TRUE(conn.broken);
   EXPECT_TRUE(conn.pending.empty());  // never surfaced a bogus "line"
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+// A frame length past the bound breaks the connection and says why, so
+// its owner can log and count the drop.
+TEST(TierNet, LineConnRecordsWhyAFrameBrokeIt) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ndg::tier::set_nonblocking(sv[0]);
+  ndg::tier::LineConn conn;
+  conn.fd = sv[0];
+  conn.proto = ndg::dyn::WireProto::kBin;
+
+  std::string header;
+  ndg::dyn::put_u32(header, ndg::dyn::kMaxFrameLen + 1);
+  ndg::dyn::put_u8(header, 0);
+  ASSERT_EQ(::write(sv[1], header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  conn.read_input();
+  EXPECT_TRUE(conn.broken);
+  EXPECT_TRUE(contains(conn.input_error, "exceeds bound")) << conn.input_error;
+  EXPECT_TRUE(conn.frames.empty());
   ::close(sv[0]);
   ::close(sv[1]);
 }
