@@ -9,9 +9,7 @@
 //      ~2*side barriered iterations with sparse frontiers, so the
 //      per-iteration frontier hand-off dominates. Distances are checked
 //      against ref::sssp; a mismatch exits 1.
-//   3. Microbenchmarks for the two build-path fixes: edge_source (O(1)
-//      inverse array) vs edge_source_search (the old binary search), and
-//      Graph::build wall time at exact-size allocation.
+//   3. A microbenchmark of Graph::build wall time at exact-size allocation.
 //
 // Emits a machine-readable manifest (default BENCH_traversal.json) consumed
 // by scripts/bench_diff.py in the CI bench-smoke job — keep the `config`
@@ -147,35 +145,6 @@ bool bench_grid_sssp(VertexId side, const Knobs& k, TextTable& table) {
   return exact;
 }
 
-void bench_edge_source(const Graph& g, int repeats, TextTable& table) {
-  const EdgeId m = g.num_edges();
-  std::uint64_t sink = 0;
-  const double direct = median_secs(
-      [&] {
-        Timer t;
-        for (EdgeId e = 0; e < m; ++e) sink += g.edge_source(e);
-        return t.seconds();
-      },
-      repeats);
-  const double search = median_secs(
-      [&] {
-        Timer t;
-        for (EdgeId e = 0; e < m; ++e) sink += g.edge_source_search(e);
-        return t.seconds();
-      },
-      repeats);
-  // Defeat dead-code elimination of the sweeps.
-  if (sink == 0xdeadbeef) std::cerr << "";
-  table.add_row({"edge_source", "inverse-array", "1",
-                 TextTable::num(direct * 1e3, 3),
-                 TextTable::num(static_cast<double>(m) / direct / 1e6, 1), "1",
-                 "0", "0", "yes"});
-  table.add_row({"edge_source", "binary-search", "1",
-                 TextTable::num(search * 1e3, 3),
-                 TextTable::num(static_cast<double>(m) / search / 1e6, 1), "1",
-                 "0", "0", "yes"});
-}
-
 void bench_build(VertexId n, const EdgeList& el, int repeats,
                  TextTable& table) {
   const double secs = median_secs(
@@ -231,7 +200,6 @@ int main(int argc, char** argv) {
   bench_engine_grid(g, "sssp", [src] { return SsspProgram(src, 42); }, k,
                     table);
   const bool grid_exact = bench_grid_sssp(grid, k, table);
-  bench_edge_source(g, k.repeats, table);
   bench_build(n, el_copy, k.repeats, table);
 
   table.print(std::cout);
@@ -247,8 +215,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(json manifest written to " << json_path << ")\n";
 
   std::cout << "\nshape targets: dense/auto frontier >= sparse on PageRank "
-               "(full frontiers); sparse >= dense on SSSP tails; "
-               "inverse-array edge_source >> binary-search.\n";
+               "(full frontiers); sparse >= dense on SSSP tails.\n";
   if (!grid_exact) {
     std::cerr << "FAIL: sssp-grid distances differ from ref::sssp\n";
     return 1;

@@ -103,7 +103,7 @@ class ManifestEnforcer {
     }
     // Incidence: a self-loop is both an in- and an out-edge of v, so either
     // declared side admits the access.
-    const bool own_out = g_->edge_source(e) == v;
+    const bool own_out = g_->is_out_edge(v, e);
     const bool own_in = g_->edge_target(e) == v;
     if (!own_out && !own_in) {
       record(ManifestViolation::Kind::kForeignEdge, e, v);

@@ -177,7 +177,7 @@ class DistContext {
   [[nodiscard]] ED read(EdgeId e) {
     // My side of the edge: the source side iff I am the edge's source.
     return detail::from_slot<ED>(
-        machine_->read_side(e, g_->edge_source(e) == v_));
+        machine_->read_side(e, g_->is_out_edge(v_, e)));
   }
 
   void write(EdgeId e, VertexId other_endpoint, ED value) {
@@ -214,7 +214,7 @@ class DistContext {
  private:
   void write_impl(EdgeId e, VertexId other_endpoint, ED value,
                   bool schedule_peer) {
-    const bool i_am_source = g_->edge_source(e) == v_;
+    const bool i_am_source = g_->is_out_edge(v_, e);
     const std::size_t peer_machine = machine_->machine_of(other_endpoint);
     const bool sent = machine_->write_side(e, i_am_source,
                                            detail::to_slot(value), my_machine_,

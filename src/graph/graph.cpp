@@ -85,22 +85,20 @@ Graph Graph::build(VertexId num_vertices, EdgeList edges,
   g.num_edges_ = kept;
   g.out_targets_ = std::move(targets);
 
-  // Edge id == CSR slot. Filling the edge-source inverse and the CSC in
-  // ascending id order lists each vertex's in-edges by ascending id.
+  // Edge id == CSR slot. Filling the CSC in ascending id order lists each
+  // vertex's in-edges by ascending id.
   g.in_edges_ = mem::Buffer<InEdge>(kept, opts.mem);
-  g.edge_src_ = mem::Buffer<VertexId>(kept, opts.mem);
   std::vector<EdgeId> next_in(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
   for (VertexId v = 0; v < num_vertices; ++v) {
     for (EdgeId id = g.out_offsets_[v]; id < g.out_offsets_[v + 1]; ++id) {
       const VertexId d = g.out_targets_[id];
-      g.edge_src_[id] = v;
       g.in_edges_[next_in[d]++] = InEdge{v, id};
     }
   }
   return g;
 }
 
-VertexId Graph::edge_source_search(EdgeId e) const {
+VertexId Graph::edge_source(EdgeId e) const {
   NDG_ASSERT(e < num_edges_);
   // First offset strictly greater than e belongs to source+1.
   const auto it = std::upper_bound(out_offsets_.begin(), out_offsets_.end(), e);

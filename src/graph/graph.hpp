@@ -22,11 +22,14 @@
 namespace ndg {
 
 /// An in-edge as seen from its destination: the source vertex plus the
-/// canonical (CSR) edge id used to index per-edge data arrays.
-struct InEdge {
+/// canonical (CSR) edge id used to index per-edge data arrays. Packed to
+/// 12 bytes (4-byte aligned) so the CSC stream the pull gather reads carries
+/// no padding; `id` stays 64-bit, so a const reference to it binds a copy.
+struct [[gnu::packed, gnu::aligned(4)]] InEdge {
   VertexId src;
   EdgeId id;
 };
+static_assert(sizeof(InEdge) == 12 && alignof(InEdge) == 4);
 
 struct GraphBuildOptions {
   bool remove_self_loops = true;
@@ -82,18 +85,15 @@ class Graph {
   /// Target of a canonical edge id.
   [[nodiscard]] VertexId edge_target(EdgeId e) const { return out_targets_[e]; }
 
-  /// Source of a canonical edge id. O(1): the inverse array is materialized
-  /// at build time (one VertexId per edge). The distributed router calls this
-  /// once per remote scatter, which made the old binary search a hot path.
-  [[nodiscard]] VertexId edge_source(EdgeId e) const {
-    NDG_ASSERT(e < num_edges_);
-    return edge_src_[e];
-  }
+  /// Source of a canonical edge id: O(log V) binary search over the CSR
+  /// offsets, since no edge-id -> source array is stored. To ask whether a
+  /// given vertex is the source, use the O(1) is_out_edge instead.
+  [[nodiscard]] VertexId edge_source(EdgeId e) const;
 
-  /// The pre-inverse-array implementation (O(log V) upper_bound over the CSR
-  /// offsets). Kept for the bench_traversal microbench that documents the
-  /// win; not used on any hot path.
-  [[nodiscard]] VertexId edge_source_search(EdgeId e) const;
+  /// Whether e is an out-edge of v (v is e's source): an offset-range test.
+  [[nodiscard]] bool is_out_edge(VertexId v, EdgeId e) const {
+    return out_offsets_[v] <= e && e < out_offsets_[v + 1];
+  }
 
  private:
   VertexId num_vertices_ = 0;
@@ -104,7 +104,6 @@ class Graph {
   mem::Buffer<VertexId> out_targets_;  // size E (CSR order == edge id order)
   mem::Buffer<EdgeId> in_offsets_;     // size V+1
   mem::Buffer<InEdge> in_edges_;       // size E
-  mem::Buffer<VertexId> edge_src_;     // size E; edge id -> source vertex
 };
 
 /// Adds the reverse of every edge, turning a directed edge list into a

@@ -33,8 +33,10 @@ ShardPlan make_shard_plan(const Graph& g, std::size_t num_shards) {
     std::size_t pos = 0;
     for (std::size_t j = 0; j < num_shards; ++j) {
       const std::size_t begin = pos;
-      const VertexId hi = plan.intervals.boundaries[j + 1];
-      while (pos < edges.size() && g.edge_source(edges[pos]) < hi) ++pos;
+      // An edge's source is below hi exactly when its id is below hi's
+      // first out-edge id.
+      const EdgeId hi = g.out_edges_begin(plan.intervals.boundaries[j + 1]);
+      while (pos < edges.size() && edges[pos] < hi) ++pos;
       plan.windows[s][j] = {begin, pos};
     }
     NDG_ASSERT_MSG(pos == edges.size(), "windows must tile the shard");

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "algorithms/reference/references.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/wcc.hpp"
@@ -23,14 +21,13 @@
 #include "engine/simulator.hpp"
 #include "graph/generators.hpp"
 #include "ooc/ooc_nondet.hpp"
+#include "temp_path.hpp"
 
 namespace ndg {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/ndg_matrix_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+TempPath fresh_dir(const std::string& name) {
+  return TempPath("ndg_matrix_" + name);
 }
 
 class EngineMatrix : public ::testing::TestWithParam<std::uint64_t> {
@@ -139,7 +136,7 @@ TEST_P(EngineMatrix, AllTenConfigurationsAgreeOnWcc) {
   const ShardPlan shards = make_shard_plan(graph_, 3);
   EXPECT_EQ(wcc_labels([&](auto& p, auto& e) {
               return run_ooc_deterministic(graph_, p, e, shards,
-                                           fresh_dir("de_" + tag))
+                                           fresh_dir("de_" + tag).str())
                   .converged;
             }),
             expected)
@@ -151,7 +148,7 @@ TEST_P(EngineMatrix, AllTenConfigurationsAgreeOnWcc) {
               o.num_threads = 4;
               o.mode = AtomicityMode::kRelaxed;
               return run_ooc_nondeterministic(graph_, p, e, shards,
-                                              fresh_dir("ne_" + tag), o)
+                                              fresh_dir("ne_" + tag).str(), o)
                   .converged;
             }),
             expected)

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <mutex>
 
 #include "engine/chromatic.hpp"
@@ -14,6 +13,7 @@
 #include "engine/psw.hpp"
 #include "graph/generators.hpp"
 #include "ooc/ooc_engine.hpp"
+#include "temp_path.hpp"
 
 namespace ndg {
 namespace {
@@ -90,9 +90,8 @@ TEST(ExecutionOrder, OocIsIntervalMajorAndSkipsNothingOnFullFrontier) {
   RecorderProgram prog;
   EdgeDataArray<std::uint32_t> edges(g.num_edges());
   prog.init(g, edges);
-  const std::string dir = testing::TempDir() + "/ndg_order_ooc";
-  std::filesystem::remove_all(dir);
-  const OocResult r = run_ooc_deterministic(g, prog, edges, plan, dir);
+  const TempPath dir("ndg_order_ooc");
+  const OocResult r = run_ooc_deterministic(g, prog, edges, plan, dir.str());
   ASSERT_EQ(prog.order.size(), 64u);
   EXPECT_EQ(r.intervals_skipped, 0u);
   std::size_t prev = 0;

@@ -13,6 +13,7 @@
 #include "graph/graph.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/loader.hpp"
+#include "temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace ndg {
@@ -236,6 +237,38 @@ TEST(Graph, BuildOfRmatIsPinned) {
   }
 }
 
+TEST(Graph, EdgeOwnershipAgreesAcrossViews) {
+  // The O(1) offset-range test, the edge_source search and the CSC's `src`
+  // must name the same source for every edge. V = 1000 clamps, so the
+  // keep-all build carries self-loops and duplicates.
+  const EdgeList edges = gen::rmat(1000, 16000, 5);
+  for (const GraphBuildOptions& opts : {GraphBuildOptions{}, keep_all()}) {
+    const Graph g = Graph::build(1000, edges, opts);
+    const VertexId n = g.num_vertices();
+    EdgeId in_seen = 0;
+    std::size_t self_loops = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      for (EdgeId k = 0; k < g.out_degree(v); ++k) {
+        const EdgeId e = g.out_edges_begin(v) + k;
+        ASSERT_EQ(g.edge_source(e), v) << "e=" << e;
+        ASSERT_TRUE(g.is_out_edge(v, e)) << "v=" << v << " e=" << e;
+        // The range test names one owner: not the neighbouring rows.
+        EXPECT_FALSE(v > 0 && g.is_out_edge(v - 1, e)) << "e=" << e;
+        EXPECT_FALSE(v + 1 < n && g.is_out_edge(v + 1, e)) << "e=" << e;
+        self_loops += g.edge_target(e) == v ? 1 : 0;
+      }
+      for (const InEdge& ie : g.in_edges(v)) {
+        ASSERT_EQ(g.edge_target(ie.id), v);
+        ASSERT_EQ(g.edge_source(ie.id), ie.src) << "e=" << ie.id;
+        ASSERT_TRUE(g.is_out_edge(ie.src, ie.id)) << "e=" << ie.id;
+        ++in_seen;
+      }
+    }
+    EXPECT_EQ(in_seen, g.num_edges());
+    EXPECT_EQ(self_loops > 0, !opts.remove_self_loops);
+  }
+}
+
 TEST(Graph, BuildOfShuffledInputIsPinned) {
   // Loader-style input: both directions of every edge, in no useful order.
   const EdgeList sorted = symmetrize(gen::rmat(512, 4096, 4));
@@ -302,10 +335,10 @@ TEST(Loader, ThrowsOnMissingFile) {
 }
 
 TEST(Loader, RoundTripsThroughFile) {
-  const std::string path = testing::TempDir() + "/ndg_edges.txt";
+  const TempPath path("ndg_edges.txt");
   const EdgeList edges{{0, 1}, {1, 2}, {2, 0}};
-  save_edge_list(path, edges, "test graph");
-  const auto loaded = load_edge_list(path);
+  save_edge_list(path.str(), edges, "test graph");
+  const auto loaded = load_edge_list(path.str());
   EXPECT_EQ(loaded.edges, edges);
   EXPECT_EQ(loaded.num_vertices, 3u);
 }
@@ -453,9 +486,9 @@ TEST(Datasets, WebStandInsAreSkewed) {
 }
 
 TEST(Datasets, FromFileMatchesLoader) {
-  const std::string path = testing::TempDir() + "/ndg_ds.txt";
-  save_edge_list(path, {{0, 1}, {1, 2}});
-  const Dataset d = make_dataset_from_file("tiny", path);
+  const TempPath path("ndg_ds.txt");
+  save_edge_list(path.str(), {{0, 1}, {1, 2}});
+  const Dataset d = make_dataset_from_file("tiny", path.str());
   EXPECT_EQ(d.name, "tiny");
   EXPECT_EQ(d.graph.num_vertices(), 3u);
   EXPECT_EQ(d.graph.num_edges(), 2u);

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "algorithms/bfs.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/reference/references.hpp"
@@ -14,14 +12,13 @@
 #include "engine/deterministic.hpp"
 #include "graph/generators.hpp"
 #include "ooc/ooc_engine.hpp"
+#include "temp_path.hpp"
 
 namespace ndg {
 namespace {
 
-std::string fresh_dir(const char* name) {
-  const std::string dir = testing::TempDir() + "/ndg_ooc_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+TempPath fresh_dir(const std::string& name) {
+  return TempPath("ndg_ooc_" + name);
 }
 
 TEST(ShardPlan, ShardsPartitionTheEdgeSet) {
@@ -73,7 +70,8 @@ TEST(ShardPlan, PositionInShardInverts) {
 TEST(ShardStore, RoundTripAndWindowUpdates) {
   const Graph g = Graph::build(64, gen::cycle(64));
   const ShardPlan plan = make_shard_plan(g, 4);
-  ShardStore store(fresh_dir("roundtrip"), plan);
+  const TempPath dir = fresh_dir("roundtrip");
+  ShardStore store(dir.str(), plan);
 
   std::vector<std::uint64_t> values(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) values[e] = 1000 + e;
@@ -122,7 +120,7 @@ void expect_bitwise_equal_to_in_memory(const Graph& g, Seed make_prog,
   ooc.init(g, ooc_edges);
   const ShardPlan plan = make_shard_plan(g, 4);
   const OocResult ro =
-      run_ooc_deterministic(g, ooc, ooc_edges, plan, fresh_dir(tag));
+      run_ooc_deterministic(g, ooc, ooc_edges, plan, fresh_dir(tag).str());
 
   EXPECT_EQ(rm.converged, ro.converged) << tag;
   EXPECT_EQ(rm.iterations, ro.iterations) << tag;
@@ -160,7 +158,7 @@ TEST(OocEngine, ResultsMatchReferences) {
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 6);
   const OocResult r =
-      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("refs"));
+      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("refs").str());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(prog.labels(), ref::wcc(g));
 }
@@ -175,7 +173,7 @@ TEST(OocEngine, SelectiveSchedulingSkipsIdleIntervals) {
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 8);
   const OocResult r =
-      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("skip"));
+      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("skip").str());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(prog.levels(), ref::bfs(g, 0));
   EXPECT_GT(r.intervals_skipped, r.intervals_processed);
@@ -188,7 +186,7 @@ TEST(OocEngine, SingleShardDegeneratesGracefully) {
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 1);
   const OocResult r =
-      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("one"));
+      run_ooc_deterministic(g, prog, edges, plan, fresh_dir("one").str());
   EXPECT_TRUE(r.converged);
   for (const auto l : prog.labels()) EXPECT_EQ(l, 0u);
 }

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <tuple>
 
 #include "algorithms/bfs.hpp"
@@ -17,14 +16,13 @@
 #include "algorithms/wcc.hpp"
 #include "graph/generators.hpp"
 #include "ooc/ooc_nondet.hpp"
+#include "temp_path.hpp"
 
 namespace ndg {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/ndg_oocne_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+TempPath fresh_dir(const std::string& name) {
+  return TempPath("ndg_oocne_" + name);
 }
 
 Graph ooc_graph() {
@@ -43,7 +41,7 @@ class OocNeParam
     opts.num_threads = std::get<1>(GetParam());
     return opts;
   }
-  [[nodiscard]] std::string dir(const char* algo) const {
+  [[nodiscard]] TempPath dir(const char* algo) const {
     return fresh_dir(std::string(algo) + "_" +
                      to_string(std::get<0>(GetParam())) + "_" +
                      std::to_string(std::get<1>(GetParam())));
@@ -56,8 +54,8 @@ TEST_P(OocNeParam, WccExact) {
   EdgeDataArray<WccProgram::EdgeData> edges(g.num_edges());
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 4);
-  const OocResult r =
-      run_ooc_nondeterministic(g, prog, edges, plan, dir("wcc"), options());
+  const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
+                                               dir("wcc").str(), options());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(prog.labels(), ref::wcc(g));
 }
@@ -68,8 +66,8 @@ TEST_P(OocNeParam, BfsExact) {
   EdgeDataArray<BfsProgram::EdgeData> edges(g.num_edges());
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 3);
-  const OocResult r =
-      run_ooc_nondeterministic(g, prog, edges, plan, dir("bfs"), options());
+  const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
+                                               dir("bfs").str(), options());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(prog.levels(), ref::bfs(g, 0));
 }
@@ -81,8 +79,8 @@ TEST_P(OocNeParam, PageRankNearFixedPoint) {
   EdgeDataArray<float> edges(g.num_edges());
   prog.init(g, edges);
   const ShardPlan plan = make_shard_plan(g, 4);
-  const OocResult r =
-      run_ooc_nondeterministic(g, prog, edges, plan, dir("pr"), options());
+  const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
+                                               dir("pr").str(), options());
   EXPECT_TRUE(r.converged);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_NEAR(prog.ranks()[v], expected[v], 0.05 * expected[v] + 0.01);
@@ -113,8 +111,8 @@ TEST(OocNondet, SsspExactWithSeqCst) {
   EngineOptions opts;
   opts.mode = AtomicityMode::kSeqCst;
   opts.num_threads = 4;
-  const OocResult r =
-      run_ooc_nondeterministic(g, prog, edges, plan, fresh_dir("sssp"), opts);
+  const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
+                                               fresh_dir("sssp").str(), opts);
   EXPECT_TRUE(r.converged);
   const auto expected = ref::sssp(g, 0, weights);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -134,8 +132,8 @@ TEST(OocNondet, DualEdgeAlgorithmsExactUnderRacyPsw) {
     KCoreProgram prog;
     EdgeDataArray<DualEdge> edges(g.num_edges());
     prog.init(g, edges);
-    const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
-                                                 fresh_dir("kcore"), opts);
+    const OocResult r = run_ooc_nondeterministic(
+        g, prog, edges, plan, fresh_dir("kcore").str(), opts);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(prog.core_numbers(), ref::kcore(g));
   }
@@ -143,8 +141,8 @@ TEST(OocNondet, DualEdgeAlgorithmsExactUnderRacyPsw) {
     MisProgram prog;
     EdgeDataArray<DualEdge> edges(g.num_edges());
     prog.init(g, edges);
-    const OocResult r = run_ooc_nondeterministic(g, prog, edges, plan,
-                                                 fresh_dir("mis"), opts);
+    const OocResult r = run_ooc_nondeterministic(
+        g, prog, edges, plan, fresh_dir("mis").str(), opts);
     EXPECT_TRUE(r.converged);
     const auto expected = ref::greedy_mis(g);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -161,7 +159,7 @@ TEST(OocNondet, SingleThreadEqualsOocDeterministicBitwise) {
   EdgeDataArray<WccProgram::EdgeData> de_edges(g.num_edges());
   de.init(g, de_edges);
   const OocResult rd =
-      run_ooc_deterministic(g, de, de_edges, plan, fresh_dir("de"));
+      run_ooc_deterministic(g, de, de_edges, plan, fresh_dir("de").str());
 
   WccProgram ne;
   EdgeDataArray<WccProgram::EdgeData> ne_edges(g.num_edges());
@@ -169,8 +167,8 @@ TEST(OocNondet, SingleThreadEqualsOocDeterministicBitwise) {
   EngineOptions opts;
   opts.num_threads = 1;
   opts.mode = AtomicityMode::kAligned;
-  const OocResult rn =
-      run_ooc_nondeterministic(g, ne, ne_edges, plan, fresh_dir("ne1"), opts);
+  const OocResult rn = run_ooc_nondeterministic(g, ne, ne_edges, plan,
+                                                fresh_dir("ne1").str(), opts);
 
   EXPECT_EQ(rd.iterations, rn.iterations);
   EXPECT_EQ(rd.updates, rn.updates);

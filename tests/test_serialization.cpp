@@ -8,19 +8,16 @@
 
 #include "graph/generators.hpp"
 #include "graph/serialization.hpp"
+#include "temp_path.hpp"
 
 namespace ndg {
 namespace {
 
-std::string tmp_path(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
-
 TEST(Serialization, RoundTripPreservesTopologyAndEdgeIds) {
   const Graph g = Graph::build(300, gen::rmat(300, 2000, 9));
-  const std::string path = tmp_path("roundtrip.ndgb");
-  save_binary_graph(path, g);
-  const Graph h = load_binary_graph(path);
+  const TempPath path("roundtrip.ndgb");
+  save_binary_graph(path.str(), g);
+  const Graph h = load_binary_graph(path.str());
 
   ASSERT_EQ(h.num_vertices(), g.num_vertices());
   ASSERT_EQ(h.num_edges(), g.num_edges());
@@ -36,39 +33,39 @@ TEST(Serialization, RoundTripPreservesTopologyAndEdgeIds) {
 
 TEST(Serialization, RoundTripEmptyGraph) {
   const Graph g = Graph::build(5, EdgeList{});
-  const std::string path = tmp_path("empty.ndgb");
-  save_binary_graph(path, g);
-  const Graph h = load_binary_graph(path);
+  const TempPath path("empty.ndgb");
+  save_binary_graph(path.str(), g);
+  const Graph h = load_binary_graph(path.str());
   EXPECT_EQ(h.num_vertices(), 5u);
   EXPECT_EQ(h.num_edges(), 0u);
 }
 
 TEST(Serialization, RejectsBadMagic) {
-  const std::string path = tmp_path("badmagic.ndgb");
-  std::ofstream(path) << "definitely not a graph file";
-  EXPECT_THROW(load_binary_graph(path), std::runtime_error);
+  const TempPath path("badmagic.ndgb");
+  std::ofstream(path.str()) << "definitely not a graph file";
+  EXPECT_THROW(load_binary_graph(path.str()), std::runtime_error);
 }
 
 TEST(Serialization, RejectsTruncation) {
   const Graph g = Graph::build(50, gen::cycle(50));
-  const std::string path = tmp_path("trunc.ndgb");
-  save_binary_graph(path, g);
+  const TempPath path("trunc.ndgb");
+  save_binary_graph(path.str(), g);
   // Chop the file in half.
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path.str(), std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(path.str(), std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   out.close();
-  EXPECT_THROW(load_binary_graph(path), std::runtime_error);
+  EXPECT_THROW(load_binary_graph(path.str()), std::runtime_error);
 }
 
 TEST(Serialization, RejectsBitFlip) {
   const Graph g = Graph::build(50, gen::cycle(50));
-  const std::string path = tmp_path("bitflip.ndgb");
-  save_binary_graph(path, g);
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  const TempPath path("bitflip.ndgb");
+  save_binary_graph(path.str(), g);
+  std::fstream f(path.str(), std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(64);
   char c = 0;
   f.seekg(64);
@@ -77,7 +74,7 @@ TEST(Serialization, RejectsBitFlip) {
   f.seekp(64);
   f.write(&c, 1);
   f.close();
-  EXPECT_THROW(load_binary_graph(path), std::runtime_error);
+  EXPECT_THROW(load_binary_graph(path.str()), std::runtime_error);
 }
 
 TEST(Serialization, RejectsMissingFile) {
@@ -88,9 +85,9 @@ TEST(Serialization, PreservesSelfLoopFreeCanonicalForm) {
   // What was canonicalized at build time stays exactly as-is on reload.
   const Graph g = Graph::build(10, {{1, 2}, {2, 1}, {1, 2}, {3, 3}});
   ASSERT_EQ(g.num_edges(), 2u);
-  const std::string path = tmp_path("canon.ndgb");
-  save_binary_graph(path, g);
-  const Graph h = load_binary_graph(path);
+  const TempPath path("canon.ndgb");
+  save_binary_graph(path.str(), g);
+  const Graph h = load_binary_graph(path.str());
   EXPECT_EQ(h.num_edges(), 2u);
 }
 

@@ -23,7 +23,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -82,8 +84,8 @@ struct Server {
       ::waitpid(pid, nullptr, 0);
       pid = -1;
     }
-    if (!socket.empty()) ::unlink(socket.c_str());
-    if (!dir.empty()) ::rmdir(dir.c_str());
+    std::error_code ec;  // the dir may still hold sockets: remove them too
+    if (!dir.empty()) std::filesystem::remove_all(dir, ec);
   }
 
   ~Server() { stop(); }

@@ -30,9 +30,11 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <chrono>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -63,7 +65,7 @@ double num_field(const std::string& line, const std::string& key) {
 
 struct Tier {
   pid_t pid = -1;
-  std::string dir;  // mkdtemp scratch; sockets live here
+  std::string dir;  // mkdtemp scratch, removed in stop(); sockets live here
 
   void start(const std::vector<std::string>& extra_args) {
     char tmpl[] = "/tmp/ndg_tier_test_XXXXXX";
@@ -112,6 +114,8 @@ struct Tier {
       ::waitpid(pid, nullptr, 0);
       pid = -1;
     }
+    std::error_code ec;
+    if (!dir.empty()) std::filesystem::remove_all(dir, ec);
   }
 
   ~Tier() { stop(); }

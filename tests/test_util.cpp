@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "temp_path.hpp"
 #include "util/barrier.hpp"
 #include "util/bitset.hpp"
 #include "util/cli.hpp"
@@ -281,9 +282,9 @@ TEST(Table, ToJsonQuotesStringsAndKeepsNumbersBare) {
 TEST(Table, WriteJsonProducesManifest) {
   TextTable t({"k"});
   t.add_row({"1"});
-  const std::string path = testing::TempDir() + "/ndg_table.json";
-  t.write_json(path, "{\"experiment\":\"unit\"}");
-  std::ifstream in(path);
+  const TempPath path("ndg_table.json");
+  t.write_json(path.str(), "{\"experiment\":\"unit\"}");
+  std::ifstream in(path.str());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content,
